@@ -68,7 +68,7 @@ ScenarioResult RunScenario(const std::string& name, RpcServer* server, int udp_b
     std::abort();
   }
   // Warm the path (thread-local client sockets, scratch buffers, server
-  // batch pool) outside the measured window.
+  // receive batches) outside the measured window.
   // hcs:ignore-status(warmup sweep; the measured run below is what counts)
   (void)DriveClients(*port, clients, 20);
 

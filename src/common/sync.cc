@@ -33,16 +33,23 @@ std::atomic<bool> g_timing_enabled{false};
 // hcs::Mutex, which would recurse into the detector.
 
 struct Edge {
-  uint32_t to = 0;
+  uint64_t to = 0;
   std::string context;  // held-lock stack when the edge was first recorded
 };
 
 struct OrderGraph {
   std::mutex mu;
-  std::unordered_map<uint32_t, std::vector<Edge>> adjacency;
-  std::unordered_map<uint32_t, const char*> names;
-  uint32_t next_id = 1;
+  std::unordered_map<uint64_t, std::vector<Edge>> adjacency;
+  // Names of the mutexes that appear in at least one edge, registered when
+  // that edge is first recorded. A mutex that never orders against another
+  // (the common case: a future's lock, a per-conn lock) costs the graph
+  // nothing, so construction stays lock- and allocation-free.
+  std::unordered_map<uint64_t, const char*> names;
 };
+
+// Mutex ids: 64-bit and never reused, so a dead mutex's edges stay inert
+// however many mutexes a long run constructs.
+std::atomic<uint64_t> g_next_mutex_id{1};
 
 OrderGraph& Graph() {
   // Leaked: mutexes (and the log sink) live into static destruction.
@@ -53,25 +60,28 @@ OrderGraph& Graph() {
 // The stack of hcs::Mutexes this thread currently holds, oldest first.
 thread_local std::vector<const Mutex*> tls_held;
 
-const char* DisplayName(const OrderGraph& graph, uint32_t id) {
+const char* DisplayName(const char* name) { return name[0] != '\0' ? name : "<anonymous>"; }
+
+// Name of a mutex known only by id: every edge endpoint has one on record.
+const char* DisplayName(const OrderGraph& graph, uint64_t id) {
   auto it = graph.names.find(id);
-  return it != graph.names.end() && it->second[0] != '\0' ? it->second : "<anonymous>";
+  return it != graph.names.end() ? DisplayName(it->second) : "<anonymous>";
 }
 
-std::string DescribeHeldStack(const OrderGraph& graph, uint32_t acquiring_id) {
+std::string DescribeHeldStack(const Mutex* acquiring) {
   std::string out;
   for (const Mutex* held : tls_held) {
-    out += DisplayName(graph, held->id());
+    out += DisplayName(held->name());
     out += " -> ";
   }
-  out += DisplayName(graph, acquiring_id);
+  out += DisplayName(acquiring->name());
   return out;
 }
 
 // Depth-first reachability from `from` to `target` along recorded edges;
 // fills `path` with the edge chain when found. Caller holds graph.mu.
-bool FindPath(const OrderGraph& graph, uint32_t from, uint32_t target,
-              std::unordered_set<uint32_t>* visited, std::vector<const Edge*>* path) {
+bool FindPath(const OrderGraph& graph, uint64_t from, uint64_t target,
+              std::unordered_set<uint64_t>* visited, std::vector<const Edge*>* path) {
   if (from == target) {
     return true;
   }
@@ -92,25 +102,20 @@ bool FindPath(const OrderGraph& graph, uint32_t from, uint32_t target,
   return false;
 }
 
-[[noreturn]] void ReportInversionAndAbort(const OrderGraph& graph, uint32_t held_id,
-                                          uint32_t acquiring_id,
+[[noreturn]] void ReportInversionAndAbort(const OrderGraph& graph, const Mutex* held,
+                                          const Mutex* acquiring,
                                           const std::vector<const Edge*>& reverse_path) {
+  const char* held_name = DisplayName(held->name());
+  const char* acquiring_name = DisplayName(acquiring->name());
   std::fprintf(stderr,
                "\n=== hcs lock-order inversion detected ===\n"
-               "this thread:   holds '%s' (id %u), acquiring '%s' (id %u)\n",
-               DisplayName(graph, held_id), held_id, DisplayName(graph, acquiring_id),
-               acquiring_id);
-  std::string held_stack;
-  for (const Mutex* held : tls_held) {
-    if (!held_stack.empty()) held_stack += " -> ";
-    held_stack += DisplayName(graph, held->id());
-  }
-  held_stack += " -> ";
-  held_stack += DisplayName(graph, acquiring_id);
-  std::fprintf(stderr, "  acquisition stack: %s\n", held_stack.c_str());
-  std::fprintf(stderr, "conflicting order '%s' ... '%s' was established by:\n",
-               DisplayName(graph, acquiring_id), DisplayName(graph, held_id));
-  uint32_t from = acquiring_id;
+               "this thread:   holds '%s' (id %llu), acquiring '%s' (id %llu)\n",
+               held_name, static_cast<unsigned long long>(held->id()), acquiring_name,
+               static_cast<unsigned long long>(acquiring->id()));
+  std::fprintf(stderr, "  acquisition stack: %s\n", DescribeHeldStack(acquiring).c_str());
+  std::fprintf(stderr, "conflicting order '%s' ... '%s' was established by:\n", acquiring_name,
+               held_name);
+  uint64_t from = acquiring->id();
   for (const Edge* edge : reverse_path) {
     std::fprintf(stderr, "  edge %s -> %s, first recorded with held stack: %s\n",
                  DisplayName(graph, from), DisplayName(graph, edge->to),
@@ -126,14 +131,15 @@ bool FindPath(const OrderGraph& graph, uint32_t from, uint32_t target,
 // Records held -> acquiring edges for every lock this thread holds, checking
 // each new edge for a cycle. Called after the acquisition succeeded (the
 // abort makes "before or after" moot).
-void NoteAcquisition(uint32_t acquiring_id) {
+void NoteAcquisition(const Mutex* acquiring) {
   if (tls_held.empty()) {
     return;
   }
+  const uint64_t acquiring_id = acquiring->id();
   OrderGraph& graph = Graph();
   std::lock_guard<std::mutex> lock(graph.mu);
   for (const Mutex* held : tls_held) {
-    uint32_t held_id = held->id();
+    uint64_t held_id = held->id();
     if (held_id == acquiring_id) {
       continue;  // recursive re-acquisition would already have deadlocked
     }
@@ -149,12 +155,14 @@ void NoteAcquisition(uint32_t acquiring_id) {
       continue;
     }
     // New edge: a path acquiring_id -> ... -> held_id closes a cycle.
-    std::unordered_set<uint32_t> visited;
+    std::unordered_set<uint64_t> visited;
     std::vector<const Edge*> path;
     if (FindPath(graph, acquiring_id, held_id, &visited, &path)) {
-      ReportInversionAndAbort(graph, held_id, acquiring_id, path);
+      ReportInversionAndAbort(graph, held, acquiring, path);
     }
-    edges.push_back(Edge{acquiring_id, DescribeHeldStack(graph, acquiring_id)});
+    edges.push_back(Edge{acquiring_id, DescribeHeldStack(acquiring)});
+    graph.names.emplace(held_id, held->name());
+    graph.names.emplace(acquiring_id, acquiring->name());
   }
 }
 
@@ -201,6 +209,13 @@ void ResetLockOrderGraph() {
   OrderGraph& graph = Graph();
   std::lock_guard<std::mutex> lock(graph.mu);
   graph.adjacency.clear();
+  graph.names.clear();
+}
+
+size_t LockOrderGraphNodeCount() {
+  OrderGraph& graph = Graph();
+  std::lock_guard<std::mutex> lock(graph.mu);
+  return graph.names.size();
 }
 
 std::vector<MutexStats> AllMutexStats() {
@@ -216,13 +231,8 @@ std::vector<MutexStats> AllMutexStats() {
 
 Mutex::Mutex() : Mutex("") {}
 
-Mutex::Mutex(const char* name) : name_(name) {
-  OrderGraph& graph = Graph();
-  {
-    std::lock_guard<std::mutex> lock(graph.mu);
-    id_ = graph.next_id++;
-    graph.names[id_] = name_;
-  }
+Mutex::Mutex(const char* name)
+    : name_(name), id_(g_next_mutex_id.fetch_add(1, std::memory_order_relaxed)) {
   if (name_[0] != '\0') {
     Registry& registry = TheRegistry();
     std::lock_guard<std::mutex> lock(registry.mu);
@@ -236,8 +246,9 @@ Mutex::~Mutex() {
     std::lock_guard<std::mutex> lock(registry.mu);
     registry.named.erase(this);
   }
-  // The id stays in the order graph: edges record code-path facts, and ids
-  // are never reused, so a dead mutex's edges are inert.
+  // Any edges (and the name recorded with them) stay in the order graph:
+  // they record code-path facts, and ids are never reused, so a dead
+  // mutex's edges are inert.
 }
 
 void Mutex::Lock() {
@@ -258,7 +269,7 @@ void Mutex::Lock() {
     }
   }
   if (DeadlockDetectorEnabled()) {
-    NoteAcquisition(id_);
+    NoteAcquisition(this);
     PushHeld(this);
   }
 }

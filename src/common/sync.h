@@ -25,6 +25,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -75,6 +76,9 @@ void SetMutexTimingEnabled(bool enabled);
 bool MutexTimingEnabled();
 // Drops every recorded acquisition-order edge (tests seed fresh graphs).
 void ResetLockOrderGraph();
+// Mutexes the order graph holds a node for: only those that appear in a
+// recorded edge (names register lazily, with the edge).
+size_t LockOrderGraphNodeCount();
 
 // Counters of all currently-live *named* mutexes, for stats plumbing.
 std::vector<MutexStats> AllMutexStats();
@@ -98,8 +102,8 @@ class HCS_CAPABILITY("mutex") Mutex {
   bool TryLock() HCS_TRY_ACQUIRE(true);
 
   const char* name() const { return name_; }
-  // Creation-ordered identity; keys the lock-order graph.
-  uint32_t id() const { return id_; }
+  // Creation-ordered identity, never reused; keys the lock-order graph.
+  uint64_t id() const { return id_; }
   MutexStats Stats() const;
 
   // BasicLockable aliases so CondVar's condition_variable_any releases and
@@ -113,7 +117,7 @@ class HCS_CAPABILITY("mutex") Mutex {
 
   std::mutex mu_;
   const char* name_;   // static storage expected; "" when anonymous
-  uint32_t id_;        // creation-ordered, keys the order graph
+  uint64_t id_;        // creation-ordered, keys the order graph
   std::atomic<uint64_t> acquisitions_{0};
   std::atomic<uint64_t> contended_{0};
   std::atomic<uint64_t> wait_ns_{0};

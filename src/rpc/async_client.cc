@@ -529,6 +529,9 @@ void AsyncClientEngine::OnUdpReadable() {
       Bytes datagram(frame.data, frame.data + frame.size);
       DispatchUdpDatagram(ntohs(frame.peer.sin_port), datagram);
     }
+    if (count < udp_rx_->capacity()) {
+      return;  // short batch: the socket is drained
+    }
   }
 }
 

@@ -59,6 +59,24 @@ double ControlCostMs(const CostModel& costs, ControlKind kind) {
   return 0.0;
 }
 
+// Explicit context wins; otherwise inherit whatever the serving runtime
+// installed for the request this thread is handling. A deadline-carrying
+// context gets a trace id if it has none.
+RequestContext EffectiveContext(const RequestContext& context) {
+  RequestContext effective = context.empty() ? CurrentRequestContext() : context;
+  if (effective.has_deadline() && effective.trace_id == 0) {
+    effective.trace_id = NewTraceId();
+  }
+  return effective;
+}
+
+// The error a call whose budget is already spent completes with.
+Status ShedBeforeSend(const HrpcBinding& binding, const RequestContext& effective) {
+  return TimeoutError(StrFormat("call to %s:%u shed before send: budget exhausted (trace %016llx)",
+                                binding.host.c_str(), binding.port,
+                                static_cast<unsigned long long>(effective.trace_id)));
+}
+
 }  // namespace
 
 // Retry policy for budgeted real-transport calls. Attempts are derived from
@@ -100,25 +118,40 @@ uint32_t RetryPolicy::MaxAttempts(int64_t budget_ms) {
 }
 
 Result<Bytes> RpcClient::Call(const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
-                              const RequestContext& context, RpcCallInfo* info_out) {
-  RpcFuture future = CallAsync(binding, procedure, args, context);
-  Result<Bytes> result = future.Wait();
-  if (info_out != nullptr) {
-    *info_out = future.info();
+                              const RequestContext& context, RpcCallInfo* info_out,
+                              std::source_location birth) {
+  if (transport_->async_channel().kind == AsyncChannelKind::kTcpStream) {
+    RpcFuture future = CallAsync(binding, procedure, args, context, birth);
+    Result<Bytes> result = future.Wait();
+    if (info_out != nullptr) {
+      *info_out = future.info();
+    }
+    return result;
   }
-  return result;
+  // Datagram and channel-less transports: the caller is about to block
+  // anyway, so the exchange runs right here, on its own thread.
+#if HCS_LOOP_DEBUG_ENABLED
+  AbortIfWaitOnLoopThread("RpcClient::Call()", birth.file_name(), static_cast<int>(birth.line()));
+#else
+  (void)birth;
+#endif
+  const RequestContext effective = EffectiveContext(context);
+  if (effective.expired()) {
+    // Client-side shed: a spent budget never goes on the wire.
+    if (info_out != nullptr) {
+      *info_out = RpcCallInfo{};
+      info_out->trace_id = effective.trace_id;
+    }
+    return ShedBeforeSend(binding, effective);
+  }
+  return CallBlocking(GetControlProtocol(binding.control), binding, procedure, args, effective,
+                      info_out);
 }
 
 RpcFuture RpcClient::CallAsync(const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
                                const RequestContext& context, std::source_location birth) {
   const ControlProtocol& control = GetControlProtocol(binding.control);
-
-  // Explicit context wins; otherwise inherit whatever the serving runtime
-  // installed for the request this thread is handling.
-  RequestContext effective = context.empty() ? CurrentRequestContext() : context;
-  if (effective.has_deadline() && effective.trace_id == 0) {
-    effective.trace_id = NewTraceId();
-  }
+  const RequestContext effective = EffectiveContext(context);
 
   auto state = std::make_shared<RpcFutureState>();
 #if HCS_LOOP_DEBUG_ENABLED
@@ -131,11 +164,7 @@ RpcFuture RpcClient::CallAsync(const HrpcBinding& binding, uint32_t procedure, c
 
   // Client-side shed: a spent budget never goes on the wire.
   if (effective.expired()) {
-    state->Complete(
-        TimeoutError(StrFormat("call to %s:%u shed before send: budget exhausted (trace %016llx)",
-                               binding.host.c_str(), binding.port,
-                               static_cast<unsigned long long>(effective.trace_id))),
-        info);
+    state->Complete(ShedBeforeSend(binding, effective), info);
     return RpcFuture(state);
   }
 

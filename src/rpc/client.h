@@ -66,6 +66,15 @@ class RpcClient {
   // bytes. A Status from the remote handler is reconstructed and returned
   // as this call's status.
   //
+  // Threading: on a datagram (or channel-less) transport the exchange runs
+  // on the calling thread — one blocking send/receive per attempt over
+  // UdpTransport's thread-local socket, with no future and no engine hop,
+  // because a caller about to block gains nothing from a loop thread in
+  // between (DESIGN.md §14). On a stream transport Call is
+  // CallAsync(...).Wait(): the engine owns the pooled connections. Either
+  // way, debug builds abort a Call made on a reactor loop thread, naming
+  // `birth` (the caller).
+  //
   // The effective request context is `context` when non-empty, else the
   // ambient CurrentRequestContext() (installed by the serving runtime —
   // this is how a deadline crosses server hops without every API carrying
@@ -77,10 +86,11 @@ class RpcClient {
   // behavior; sim runs stay deterministic).
   HCS_NODISCARD Result<Bytes> Call(const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
                      const RequestContext& context = RequestContext{},
-                     RpcCallInfo* info_out = nullptr);
+                     RpcCallInfo* info_out = nullptr,
+                     std::source_location birth = std::source_location::current());
 
   // Starts `procedure` without blocking and returns a future for its
-  // result; Call(...) is exactly CallAsync(...).Wait(). When the transport
+  // result, with Call's results and retry semantics. When the transport
   // advertises an async channel (real UDP / TCP), the call runs on the
   // engine's reactor loop: N CallAsync calls are N requests in flight, with
   // the same retry/backoff schedule, deadline budget, and ambient-context
@@ -104,9 +114,10 @@ class RpcClient {
   void set_async_engine(AsyncClientEngine* engine) { async_engine_ = engine; }
 
  private:
-  // The seed's synchronous call path (one blocking exchange per attempt);
-  // `effective` is the already-resolved context. CallAsync uses it as the
-  // fallback for channel-less transports.
+  // The synchronous call path (one blocking exchange per attempt);
+  // `effective` is the already-resolved context. Call runs it for datagram
+  // and channel-less transports; CallAsync completes channel-less futures
+  // with it inline.
   HCS_NODISCARD Result<Bytes> CallBlocking(const ControlProtocol& control,
                                            const HrpcBinding& binding, uint32_t procedure,
                                            const Bytes& args, const RequestContext& effective,

@@ -1,10 +1,13 @@
 #include "src/rpc/mmsg.h"
 
+#include <time.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+
+#include "src/rpc/context.h"
 
 namespace hcs {
 
@@ -89,6 +92,53 @@ UdpIoSnapshot SnapshotUdpIoCounters() {
   return out;
 }
 
+void CountUdpRecv() {
+  Counters().recv_syscalls.fetch_add(1, std::memory_order_relaxed);
+  Counters().recv_datagrams.fetch_add(1, std::memory_order_relaxed);
+}
+
+void CountUdpSend() {
+  Counters().send_syscalls.fetch_add(1, std::memory_order_relaxed);
+  Counters().send_datagrams.fetch_add(1, std::memory_order_relaxed);
+}
+
+void EnableReceiveTimestamps(int fd) {
+  int on = 1;
+  (void)setsockopt(fd, SOL_SOCKET, SO_TIMESTAMPNS, &on, sizeof(on));
+}
+
+int64_t ReceiveTimestampNs(const msghdr& msg) {
+  if (msg.msg_controllen == 0) {
+    return 0;
+  }
+  for (const cmsghdr* c = CMSG_FIRSTHDR(&msg); c != nullptr;
+       c = CMSG_NXTHDR(const_cast<msghdr*>(&msg), const_cast<cmsghdr*>(c))) {
+    if (c->cmsg_level == SOL_SOCKET && c->cmsg_type == SCM_TIMESTAMPNS) {
+      timespec ts{};
+      std::memcpy(&ts, CMSG_DATA(c), sizeof(ts));
+      return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+    }
+  }
+  return 0;
+}
+
+int64_t ArrivalSteadyMs(int64_t rx_realtime_ns) {
+  const int64_t now_ms = SteadyNowMs();
+  if (rx_realtime_ns <= 0) {
+    return now_ms;
+  }
+  timespec now{};
+  clock_gettime(CLOCK_REALTIME, &now);
+  const int64_t age_ns =
+      static_cast<int64_t>(now.tv_sec) * 1000000000 + now.tv_nsec - rx_realtime_ns;
+  // A wall-clock step can make the age negative or absurd; then the read
+  // time is the best estimate left.
+  if (age_ns <= 0 || age_ns > int64_t{60} * 1000000000) {
+    return now_ms;
+  }
+  return now_ms - age_ns / 1000000;
+}
+
 void SetMmsgSyscallsForTest(RecvmmsgFn recv_fn, SendmmsgFn send_fn) {
   g_recvmmsg.store(recv_fn != nullptr ? recv_fn : &RealRecvmmsg, std::memory_order_release);
   g_sendmmsg.store(send_fn != nullptr ? send_fn : &RealSendmmsg, std::memory_order_release);
@@ -104,7 +154,8 @@ UdpRecvBatch::UdpRecvBatch(int capacity, size_t slot_bytes)
       arena_(static_cast<size_t>(capacity_) * slot_bytes_),
       frames_(static_cast<size_t>(capacity_)),
       msgs_(static_cast<size_t>(capacity_)),
-      iovs_(static_cast<size_t>(capacity_)) {}
+      iovs_(static_cast<size_t>(capacity_)),
+      controls_(static_cast<size_t>(capacity_)) {}
 
 int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
   arena_.Reset();
@@ -123,6 +174,11 @@ int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
       m.msg_hdr.msg_namelen = sizeof(f.peer);
       m.msg_hdr.msg_iov = &iovs_[static_cast<size_t>(i)];
       m.msg_hdr.msg_iovlen = 1;
+      // Zeroed so a control block nobody filled parses as empty.
+      ReceiveControl& control = controls_[static_cast<size_t>(i)];
+      std::memset(control.bytes, 0, sizeof(control.bytes));
+      m.msg_hdr.msg_control = control.bytes;
+      m.msg_hdr.msg_controllen = sizeof(control.bytes);
     }
     int flags = wait_for_one ? MSG_WAITFORONE : MSG_DONTWAIT;
     RecvmmsgFn recv_fn = g_recvmmsg.load(std::memory_order_acquire);
@@ -140,6 +196,7 @@ int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
         f.data = slots + static_cast<size_t>(i) * slot_bytes_;
         f.size = m.msg_len;
         f.truncated = (m.msg_hdr.msg_flags & MSG_TRUNC) != 0;
+        f.rx_realtime_ns = ReceiveTimestampNs(m.msg_hdr);
       }
 #if HCS_VIEW_DEBUG_ENABLED
       PoisonUnreceivedSpans(slots, slot_bytes_, frames_.data(), n, capacity_);
@@ -165,6 +222,7 @@ int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
     f.peer = sockaddr_in{};
     f.peer_len = sizeof(f.peer);
     f.data = slots + static_cast<size_t>(count) * slot_bytes_;
+    f.rx_realtime_ns = 0;
     int flags = (count == 0 && wait_for_one) ? MSG_TRUNC : (MSG_DONTWAIT | MSG_TRUNC);
     ssize_t n = recvfrom(fd, f.data, slot_bytes_, flags,
                          reinterpret_cast<sockaddr*>(&f.peer), &f.peer_len);

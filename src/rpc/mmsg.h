@@ -24,6 +24,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <time.h>
 
 #include <atomic>
 #include <cstdint>
@@ -53,6 +54,25 @@ struct UdpIoSnapshot {
   uint64_t send_datagrams = 0;
 };
 UdpIoSnapshot SnapshotUdpIoCounters();
+// One successful single-shot datagram syscall (recvfrom/recvmsg/recv or
+// sendto). The batch wrappers count themselves; every other datagram
+// syscall site (the blocking client exchange, single-shot serving) reports
+// here so the counters see all of the traffic.
+void CountUdpRecv();
+void CountUdpSend();
+
+// Asks the kernel to stamp each datagram `fd` receives with its arrival
+// time (SO_TIMESTAMPNS). Best effort: without it UdpFrame::rx_realtime_ns
+// stays 0 and callers fall back to the time they read the frame.
+void EnableReceiveTimestamps(int fd);
+// Steady-clock milliseconds at which a datagram stamped `rx_realtime_ns`
+// (CLOCK_REALTIME, from the kernel) arrived; SteadyNowMs() for 0. A
+// server that reads its socket only when a worker is free still charges
+// the time the datagram sat in the socket queue against its budget.
+int64_t ArrivalSteadyMs(int64_t rx_realtime_ns);
+// The kernel arrival stamp carried by a received message's control data,
+// or 0 when it carries none.
+int64_t ReceiveTimestampNs(const msghdr& msg);
 
 // --- Test injection ---------------------------------------------------------
 using RecvmmsgFn = int (*)(int fd, mmsghdr* msgs, unsigned int vlen, int flags);
@@ -77,6 +97,14 @@ struct UdpFrame {
   // kernel (MSG_TRUNC). Callers drop such frames — a truncated RPC would
   // decode as garbage anyway.
   bool truncated = false;
+  // Kernel arrival time (CLOCK_REALTIME ns) when the socket has receive
+  // timestamps enabled (EnableReceiveTimestamps), else 0.
+  int64_t rx_realtime_ns = 0;
+};
+
+// Ancillary-data space for one received datagram's arrival timestamp.
+struct ReceiveControl {
+  alignas(cmsghdr) uint8_t bytes[CMSG_SPACE(sizeof(timespec))];
 };
 
 // A reusable receive batch: `capacity` slots of `slot_bytes` each, landed
@@ -112,6 +140,7 @@ class UdpRecvBatch {
   std::vector<UdpFrame> frames_;
   std::vector<mmsghdr> msgs_;
   std::vector<iovec> iovs_;
+  std::vector<ReceiveControl> controls_;  // one per slot, for arrival stamps
 };
 
 // One staged reply. `payload` is owned (encode targets move into it).

@@ -68,18 +68,24 @@ struct Reactor::Endpoint {
   std::atomic<uint64_t> dispatched{0};
   std::atomic<uint64_t> dropped{0};
 
-  // Serial-mode run queue: tasks execute in order, at most one batch in
-  // flight across the pool.
+  // Serial stream endpoints' run queue: frames from every connection run
+  // in order, at most one task in flight across the pool. (A serial UDP
+  // endpoint needs none: its one-shot registration hands the socket to one
+  // worker at a time.)
   Mutex mu{"reactor-endpoint"};
   std::deque<std::function<void()>> queue HCS_GUARDED_BY(mu);
   bool scheduled HCS_GUARDED_BY(mu) = false;
+};
 
-  // Concurrent-mode reply combining (batched path): workers stage replies
-  // here; whichever worker finds `sending` clear drains the stage through
-  // SendReplies, so replies completing close together share one sendmmsg.
-  Mutex send_mu{"reactor-endpoint-send"};
-  std::vector<UdpReply> pending_replies HCS_GUARDED_BY(send_mu);
-  bool sending HCS_GUARDED_BY(send_mu) = false;
+// What a worker reads UDP endpoints into, allocated on its first UDP
+// wake. Owned by one worker for its lifetime: frames land in its batch
+// arena, run through their handlers, and the replies leave before the
+// worker reads again.
+struct Reactor::WorkerScratch {
+  std::unique_ptr<UdpRecvBatch> batch;   // udp_batch > 1, serial endpoints
+  std::unique_ptr<UdpRecvBatch> single;  // udp_batch > 1, concurrent endpoints
+  std::vector<uint8_t> buffer;           // udp_batch == 1 (single-shot)
+  std::vector<UdpReply> replies;
 };
 
 // One registered client fd (async RPC client channel). Loop-thread-only:
@@ -156,6 +162,23 @@ Status Reactor::Start() {
     return UnavailableError(StrFormat("epoll_ctl(wake): %s", std::strerror(saved)));
   }
 
+  // The workers' own epoll set: UDP endpoints plus the work semaphore.
+  worker_epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
+  work_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC | EFD_SEMAPHORE);
+  ev.events = EPOLLIN;
+  ev.data.ptr = &work_handle_;
+  if (worker_epoll_fd_ < 0 || work_fd_ < 0 ||
+      epoll_ctl(worker_epoll_fd_, EPOLL_CTL_ADD, work_fd_, &ev) < 0) {
+    int saved = errno;
+    for (int* fd : {&work_fd_, &worker_epoll_fd_, &wake_fd_, &epoll_fd_}) {
+      if (*fd >= 0) {
+        close(*fd);
+        *fd = -1;
+      }
+    }
+    return UnavailableError(StrFormat("worker epoll set: %s", std::strerror(saved)));
+  }
+
   stopping_.store(false, std::memory_order_release);
   {
     MutexLock work_lock(work_mu_);
@@ -193,11 +216,25 @@ void Reactor::Stop() {
   if (loop_thread_.joinable()) {
     loop_thread_.join();
   }
-  // Phase 2: drain — workers finish everything already queued, then exit.
+  // Phase 2: drain. UDP endpoints leave the workers' set (a worker
+  // mid-drain finishes what it already read), workers run every task
+  // already queued, then each takes one stop token from the semaphore and
+  // exits.
+  {
+    MutexLock lock(state_mu_);
+    for (auto& endpoint : endpoints_) {
+      if (!endpoint->stream) {
+        (void)epoll_ctl(worker_epoll_fd_, EPOLL_CTL_DEL, endpoint->fd, nullptr);
+      }
+    }
+  }
   {
     MutexLock lock(work_mu_);
     draining_ = true;
-    work_cv_.NotifyAll();
+  }
+  uint64_t stop_tokens = workers_.size();
+  if (stop_tokens > 0) {
+    (void)!write(work_fd_, &stop_tokens, sizeof(stop_tokens));
   }
   for (std::thread& worker : workers_) {
     if (worker.joinable()) {
@@ -244,12 +281,9 @@ void Reactor::Stop() {
   }
   close(epoll_fd_);
   close(wake_fd_);
-  epoll_fd_ = wake_fd_ = -1;
-  {
-    // Batch geometry may differ on the next Start(); drop the pool.
-    MutexLock lock(batch_mu_);
-    batch_pool_.clear();
-  }
+  close(worker_epoll_fd_);
+  close(work_fd_);
+  epoll_fd_ = wake_fd_ = worker_epoll_fd_ = work_fd_ = -1;
   stopping_.store(false, std::memory_order_release);
 }
 
@@ -259,7 +293,14 @@ Status Reactor::AddUdpEndpoint(int fd, SimService* service, ReactorEndpointOptio
     close(fd);
     return UnavailableError("reactor not running");
   }
+  if (workers_.empty()) {
+    close(fd);
+    return UnavailableError("reactor has no workers to serve a UDP endpoint");
+  }
   HCS_RETURN_IF_ERROR(SetNonBlocking(fd));
+  // Arrival stamps: a datagram may wait in the socket while every worker
+  // is busy, and that wait counts against its budget.
+  EnableReceiveTimestamps(fd);
   auto endpoint = std::make_unique<Endpoint>();
   endpoint->fd = fd;
   endpoint->service = service;
@@ -268,9 +309,9 @@ Status Reactor::AddUdpEndpoint(int fd, SimService* service, ReactorEndpointOptio
   endpoint->port = options.port;
   endpoint->handle = Handle{Handle::Kind::kUdp, endpoint.get()};
   epoll_event ev{};
-  ev.events = EPOLLIN;
+  ev.events = UdpInterest(*endpoint);
   ev.data.ptr = &endpoint->handle;
-  if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+  if (epoll_ctl(worker_epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
     int saved = errno;
     close(fd);
     return UnavailableError(StrFormat("epoll_ctl(udp): %s", std::strerror(saved)));
@@ -347,9 +388,9 @@ void Reactor::LoopMain() {
           wake_pending_.store(false, std::memory_order_release);
           break;
         }
+        case Handle::Kind::kWork:
         case Handle::Kind::kUdp:
-          DrainUdp(static_cast<Endpoint*>(handle->target), buffer);
-          break;
+          break;  // registered in the workers' set, never the loop's
         case Handle::Kind::kListener:
           DrainAccept(static_cast<Endpoint*>(handle->target));
           break;
@@ -371,8 +412,17 @@ void Reactor::LoopMain() {
         }
       }
     }
-    RunPosted();
-    RunDueTimers();
+    // Run posted work until none is left — including tasks posted by the
+    // tasks and timers run here, which skip the eventfd (Post) — so no
+    // self-post waits out the next epoll_wait.
+    while (!stopping_.load(std::memory_order_acquire)) {
+      RunPosted();
+      RunDueTimers();
+      MutexLock lock(posted_mu_);
+      if (posted_.empty()) {
+        break;
+      }
+    }
   }
 }
 
@@ -389,6 +439,11 @@ bool Reactor::Post(std::function<void()> fn) {
   {
     MutexLock lock(posted_mu_);
     posted_.push_back(std::move(fn));
+  }
+  // A post from the loop thread needs no wake: the loop drains posted_
+  // until it is empty before it blocks again.
+  if (on_loop_thread()) {
+    return true;
   }
   // Coalesce wakes: a burst of posts (an async client issuing a window of
   // calls) pays one eventfd write, not one per task. The loop clears the
@@ -538,142 +593,139 @@ void Reactor::RemoveClientFd(int fd) {
   client_fds_.erase(client);  // ~ClientFd closes the fd
 }
 
-void Reactor::DrainUdp(Endpoint* endpoint, std::vector<uint8_t>& buffer) {
+uint32_t Reactor::UdpInterest(const Endpoint& endpoint) {
+  // A serial endpoint is armed one-shot: the worker its readiness wakes
+  // owns the socket until it re-arms, so no two workers read (or run
+  // handlers for) it at once, and datagrams run in arrival order. A
+  // concurrent endpoint stays armed, so every idle worker may take a turn.
+  return endpoint.concurrent ? EPOLLIN : (EPOLLIN | EPOLLONESHOT);
+}
+
+void Reactor::ServeUdpReady(Endpoint* endpoint, WorkerScratch& scratch) {
   if (udp_batch_ > 1) {
-    DrainUdpBatched(endpoint);
-    return;
+    DrainUdpBatched(endpoint, scratch);
+  } else {
+    DrainUdp(endpoint, scratch);
+  }
+  if (!endpoint->concurrent) {
+    // Readiness that arrived during the drain is reported by the re-arm
+    // itself. After Stop() removed the endpoint this fails, harmlessly.
+    epoll_event ev{};
+    ev.events = UdpInterest(*endpoint);
+    ev.data.ptr = &endpoint->handle;
+    (void)epoll_ctl(worker_epoll_fd_, EPOLL_CTL_MOD, endpoint->fd, &ev);
+  }
+}
+
+void Reactor::DrainUdp(Endpoint* endpoint, WorkerScratch& scratch) {
+  std::vector<uint8_t>& buffer = scratch.buffer;
+  if (buffer.empty()) {
+    buffer.resize(kMaxDatagram);
   }
   while (true) {
     sockaddr_in peer{};
-    socklen_t peer_len = sizeof(peer);
-    ssize_t n = recvfrom(endpoint->fd, buffer.data(), buffer.size(), 0,
-                         reinterpret_cast<sockaddr*>(&peer), &peer_len);
+    iovec iov{buffer.data(), buffer.size()};
+    ReceiveControl control{};
+    msghdr msg{};
+    msg.msg_name = &peer;
+    msg.msg_namelen = sizeof(peer);
+    msg.msg_iov = &iov;
+    msg.msg_iovlen = 1;
+    msg.msg_control = control.bytes;
+    msg.msg_controllen = sizeof(control.bytes);
+    ssize_t n = recvmsg(endpoint->fd, &msg, 0);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
       }
       // EAGAIN: drained. Anything else (e.g. ICMP-induced errors): skip —
-      // level-triggered epoll re-reports genuine readiness.
+      // the socket reports genuine readiness again.
       return;
     }
+    CountUdpRecv();
     if (n == 0) {
       continue;  // zero-byte datagram (the thread-mode wake convention)
     }
+    ScopedReceiveTimestamp stamp(ArrivalSteadyMs(ReceiveTimestampNs(msg)));
     Bytes request(buffer.begin(), buffer.begin() + n);
-    const int64_t arrival_ms = SteadyNowMs();
-    Submit(endpoint, [this, endpoint, request = std::move(request), peer, peer_len,
-                      arrival_ms]() mutable {
-      ScopedReceiveTimestamp stamp(arrival_ms);
-      // Fault filtering runs on the worker, not the loop thread, so an
-      // injected inbound delay never stalls the whole reactor.
-      Status admitted = FilterInbound(GlobalFaultInjector(), endpoint->port, &request);
-      if (!admitted.ok()) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        endpoint->dropped.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      Result<Bytes> response = endpoint->service->HandleMessage(request);
-      dispatched_.fetch_add(1, std::memory_order_relaxed);
-      endpoint->dispatched.fetch_add(1, std::memory_order_relaxed);
-      if (!response.ok()) {
-        // Garbled request: drop, as UDP servers do; the client times out.
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        endpoint->dropped.fetch_add(1, std::memory_order_relaxed);
-        HCS_LOG(Debug) << "reactor dropping garbled datagram: " << response.status();
-        return;
-      }
-      // Datagram sends are atomic; concurrent workers may share the fd. A
-      // would-block send is a drop (UDP semantics: the client retries).
-      if (sendto(endpoint->fd, response->data(), response->size(), 0,
-                 reinterpret_cast<const sockaddr*>(&peer), peer_len) < 0) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        endpoint->dropped.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
+    Status admitted = FilterInbound(GlobalFaultInjector(), endpoint->port, &request);
+    if (!admitted.ok()) {
+      CountDrop(endpoint, 1);
+      continue;
+    }
+    Result<Bytes> response = endpoint->service->HandleMessage(request);
+    dispatched_.fetch_add(1, std::memory_order_relaxed);
+    endpoint->dispatched.fetch_add(1, std::memory_order_relaxed);
+    if (!response.ok()) {
+      // Garbled request: drop, as UDP servers do; the client times out.
+      CountDrop(endpoint, 1);
+      HCS_LOG(Debug) << "reactor dropping garbled datagram: " << response.status();
+      continue;
+    }
+    // A would-block send is a drop (UDP semantics: the client retries).
+    if (sendto(endpoint->fd, response->data(), response->size(), 0,
+               reinterpret_cast<const sockaddr*>(&peer), msg.msg_namelen) < 0) {
+      CountDrop(endpoint, 1);
+    } else {
+      CountUdpSend();
+    }
+    if (endpoint->concurrent) {
+      return;  // see DrainUdpBatched
+    }
   }
 }
 
-void Reactor::DrainUdpBatched(Endpoint* endpoint) {
+void Reactor::DrainUdpBatched(Endpoint* endpoint, WorkerScratch& scratch) {
+  // A concurrent endpoint takes one datagram per turn and hands the socket
+  // back: the rest stay queued for the other workers its readiness wakes,
+  // so a burst fans out across the pool instead of queueing behind one
+  // worker's handlers.
+  std::unique_ptr<UdpRecvBatch>& owned = endpoint->concurrent ? scratch.single : scratch.batch;
+  if (owned == nullptr) {
+    owned = std::make_unique<UdpRecvBatch>(endpoint->concurrent ? 1 : udp_batch_,
+                                           udp_slot_bytes_);
+  }
+  UdpRecvBatch& batch = *owned;
+  // Debug builds stamp every view built over the batch arena with its
+  // generation; a view that survives past the next Recv (which Resets the
+  // arena) aborts on access instead of reading recycled bytes.
+  ScopedArenaViewBinding view_binding(batch.debug_arena());
   while (true) {
-    std::shared_ptr<UdpRecvBatch> batch = AcquireBatch();
-    int count = batch->Recv(endpoint->fd, /*wait_for_one=*/false);
+    int count = batch.Recv(endpoint->fd, /*wait_for_one=*/false);
     if (count <= 0) {
       // 0: drained (EAGAIN). -1: transient socket error (e.g. ICMP-induced)
-      // — either way level-triggered epoll re-reports genuine readiness.
+      // — either way the socket reports genuine readiness again.
       return;
     }
-    const int64_t arrival_ms = SteadyNowMs();
-    if (endpoint->concurrent) {
-      // Fan each frame out across the pool; the shared batch keeps every
-      // frame's arena view alive until the last task finishes.
-      for (int i = 0; i < count; ++i) {
-        Enqueue([this, endpoint, batch, i, arrival_ms] {
-          ScopedReceiveTimestamp stamp(arrival_ms);
-          // Debug view stamping: views built over this batch's arena die
-          // when the pooled batch is reused (its next Recv Resets).
-          ScopedArenaViewBinding view_binding(batch->debug_arena());
-          ProcessUdpFrame(endpoint, batch->frame(i), nullptr);
-        });
-      }
-    } else {
-      // Serial endpoints process the whole batch as one task, in arrival
-      // order, and flush all staged replies with one SendReplies.
-      Submit(endpoint, [this, endpoint, batch, count, arrival_ms] {
-        ScopedReceiveTimestamp stamp(arrival_ms);
-        ScopedArenaViewBinding view_binding(batch->debug_arena());
-        std::vector<UdpReply> replies;
-        replies.reserve(static_cast<size_t>(count));
-        for (int i = 0; i < count; ++i) {
-          ProcessUdpFrame(endpoint, batch->frame(i), &replies);
-        }
-        size_t sent = SendReplies(endpoint->fd, replies);
-        if (sent < replies.size()) {
-          // UDP semantics: an unsendable reply is a drop, the client
-          // retries.
-          uint64_t shortfall = static_cast<uint64_t>(replies.size() - sent);
-          dropped_.fetch_add(shortfall, std::memory_order_relaxed);
-          endpoint->dropped.fetch_add(shortfall, std::memory_order_relaxed);
-        }
-      });
+    // Handlers run inline, in arrival order; the batch's replies leave in
+    // one SendReplies before the next Recv recycles the arena.
+    scratch.replies.clear();
+    for (int i = 0; i < count; ++i) {
+      ProcessUdpFrame(endpoint, batch.frame(i), scratch.replies);
     }
-    if (count < udp_batch_) {
-      return;  // short batch: the socket is drained
+    size_t sent = SendReplies(endpoint->fd, scratch.replies);
+    if (sent < scratch.replies.size()) {
+      // UDP semantics: an unsendable reply is a drop, the client retries.
+      CountDrop(endpoint, static_cast<uint64_t>(scratch.replies.size() - sent));
+    }
+    if (endpoint->concurrent || count < batch.capacity()) {
+      return;  // one turn taken, or a short batch: the socket is drained
     }
   }
-}
-
-std::shared_ptr<UdpRecvBatch> Reactor::AcquireBatch() {
-  std::unique_ptr<UdpRecvBatch> batch;
-  {
-    MutexLock lock(batch_mu_);
-    if (!batch_pool_.empty()) {
-      batch = std::move(batch_pool_.back());
-      batch_pool_.pop_back();
-    }
-  }
-  if (batch == nullptr) {
-    batch = std::make_unique<UdpRecvBatch>(udp_batch_, udp_slot_bytes_);
-  }
-  // Workers drop their references before Stop() returns (phase-2 drain),
-  // so the deleter never outlives the reactor.
-  return std::shared_ptr<UdpRecvBatch>(batch.release(), [this](UdpRecvBatch* b) {
-    MutexLock lock(batch_mu_);
-    batch_pool_.emplace_back(b);
-  });
 }
 
 void Reactor::ProcessUdpFrame(Endpoint* endpoint, UdpFrame& frame,
-                              std::vector<UdpReply>* staged) {
+                              std::vector<UdpReply>& staged) {
   if (frame.size == 0) {
     return;  // zero-byte datagram (the thread-mode wake convention)
   }
   if (frame.truncated) {
     // The kernel cut the datagram to the slot size; it would decode as
     // garbage, so drop it whole.
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    endpoint->dropped.fetch_add(1, std::memory_order_relaxed);
+    CountDrop(endpoint, 1);
     return;
   }
+  ScopedReceiveTimestamp stamp(ArrivalSteadyMs(frame.rx_realtime_ns));
   // One fault decision per frame, never per batch: the decision stream
   // stays a pure function of (seed, endpoint, per-endpoint sequence)
   // whatever the batch geometry. Corruption rewrites the frame in place in
@@ -681,16 +733,14 @@ void Reactor::ProcessUdpFrame(Endpoint* endpoint, UdpFrame& frame,
   Status admitted =
       FilterInboundFrame(GlobalFaultInjector(), endpoint->port, frame.data, frame.size);
   if (!admitted.ok()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    endpoint->dropped.fetch_add(1, std::memory_order_relaxed);
+    CountDrop(endpoint, 1);
     return;
   }
   Result<Bytes> response = endpoint->service->HandleFrame(frame.data, frame.size);
   dispatched_.fetch_add(1, std::memory_order_relaxed);
   endpoint->dispatched.fetch_add(1, std::memory_order_relaxed);
   if (!response.ok()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    endpoint->dropped.fetch_add(1, std::memory_order_relaxed);
+    CountDrop(endpoint, 1);
     HCS_LOG(Debug) << "reactor dropping garbled datagram: " << response.status();
     return;
   }
@@ -698,40 +748,12 @@ void Reactor::ProcessUdpFrame(Endpoint* endpoint, UdpFrame& frame,
   reply.peer = frame.peer;
   reply.peer_len = frame.peer_len;
   reply.payload = std::move(response).value();
-  if (staged != nullptr) {
-    staged->push_back(std::move(reply));
-  } else {
-    SubmitUdpReply(endpoint, std::move(reply));
-  }
+  staged.push_back(std::move(reply));
 }
 
-void Reactor::SubmitUdpReply(Endpoint* endpoint, UdpReply reply) {
-  {
-    MutexLock lock(endpoint->send_mu);
-    endpoint->pending_replies.push_back(std::move(reply));
-    if (endpoint->sending) {
-      return;  // the in-flight sender drains the stage before unsetting
-    }
-    endpoint->sending = true;
-  }
-  std::vector<UdpReply> out;
-  while (true) {
-    {
-      MutexLock lock(endpoint->send_mu);
-      if (endpoint->pending_replies.empty()) {
-        endpoint->sending = false;
-        return;
-      }
-      out.swap(endpoint->pending_replies);
-    }
-    size_t sent = SendReplies(endpoint->fd, out);
-    if (sent < out.size()) {
-      uint64_t shortfall = static_cast<uint64_t>(out.size() - sent);
-      dropped_.fetch_add(shortfall, std::memory_order_relaxed);
-      endpoint->dropped.fetch_add(shortfall, std::memory_order_relaxed);
-    }
-    out.clear();
-  }
+void Reactor::CountDrop(Endpoint* endpoint, uint64_t count) {
+  dropped_.fetch_add(count, std::memory_order_relaxed);
+  endpoint->dropped.fetch_add(count, std::memory_order_relaxed);
 }
 
 void Reactor::DrainAccept(Endpoint* endpoint) {
@@ -834,16 +856,14 @@ void Reactor::HandleConnEvent(Conn* conn, uint32_t events, std::vector<uint8_t>&
       Endpoint* endpoint = shared->endpoint;
       Status admitted = FilterInbound(GlobalFaultInjector(), endpoint->port, &frame);
       if (!admitted.ok()) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        endpoint->dropped.fetch_add(1, std::memory_order_relaxed);
+        CountDrop(endpoint, 1);
         return;
       }
       Result<Bytes> response = endpoint->service->HandleMessage(frame);
       dispatched_.fetch_add(1, std::memory_order_relaxed);
       endpoint->dispatched.fetch_add(1, std::memory_order_relaxed);
       if (!response.ok()) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        endpoint->dropped.fetch_add(1, std::memory_order_relaxed);
+        CountDrop(endpoint, 1);
         HCS_LOG(Debug) << "reactor dropping garbled frame: " << response.status();
         return;
       }
@@ -874,8 +894,7 @@ void Reactor::CloseConn(Conn* conn) {
 void Reactor::SendOnConn(const std::shared_ptr<Conn>& conn, const Bytes& framed) {
   MutexLock lock(conn->mu);
   if (conn->closed) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    conn->endpoint->dropped.fetch_add(1, std::memory_order_relaxed);
+    CountDrop(conn->endpoint, 1);
     return;
   }
   // Replies queue in completion order; append then flush preserves the
@@ -927,9 +946,14 @@ void Reactor::Submit(Endpoint* endpoint, std::function<void()> task) {
 }
 
 void Reactor::Enqueue(std::function<void()> task) {
-  MutexLock lock(work_mu_);
-  work_.push_back(std::move(task));
-  work_cv_.NotifyOne();
+  {
+    MutexLock lock(work_mu_);
+    work_.push_back(std::move(task));
+  }
+  // One semaphore token per task, written after the push: a worker that
+  // takes a token always finds a task.
+  uint64_t one = 1;
+  (void)!write(work_fd_, &one, sizeof(one));
 }
 
 void Reactor::RunEndpoint(Endpoint* endpoint) {
@@ -965,15 +989,41 @@ std::vector<ReactorEndpointStats> Reactor::endpoint_stats() const {
 }
 
 void Reactor::WorkerMain() {
+  WorkerScratch scratch;
   while (true) {
+    // One event per wait: a worker about to block in a handler must not
+    // sit on readiness it claimed for another endpoint (a nested call to a
+    // sibling endpoint would then wait for itself).
+    epoll_event event{};
+    int n = epoll_wait(worker_epoll_fd_, &event, 1, -1);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return;
+    }
+    if (n == 0) {
+      continue;
+    }
+    Handle* handle = static_cast<Handle*>(event.data.ptr);
+    if (handle->kind == Handle::Kind::kUdp) {
+      ServeUdpReady(static_cast<Endpoint*>(handle->target), scratch);
+      continue;
+    }
+    // The work semaphore: one token per queued task, plus one per worker
+    // when Stop() drains. Another worker may have taken this token first.
+    uint64_t token = 0;
+    if (read(work_fd_, &token, sizeof(token)) != static_cast<ssize_t>(sizeof(token))) {
+      continue;
+    }
     std::function<void()> task;
     {
       MutexLock lock(work_mu_);
-      while (work_.empty() && !draining_) {
-        work_cv_.Wait(work_mu_);
-      }
       if (work_.empty()) {
-        return;  // draining and nothing left
+        if (draining_) {
+          return;  // a stop token, and nothing left to run
+        }
+        continue;
       }
       task = std::move(work_.front());
       work_.pop_front();

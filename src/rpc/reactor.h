@@ -1,26 +1,34 @@
-// Reactor: the shared epoll-based service runtime. One event-loop thread
-// multiplexes every registered nonblocking socket — UDP endpoints and
-// length-prefixed TCP stream listeners — and dispatches ready work onto a
-// small worker pool. This replaces the seed's thread-per-endpoint blocking
-// recvfrom model: a host serving the BIND meta store, an HNS, and a handful
-// of NSMs needs one loop and a few workers, not one parked thread per
-// socket.
+// Reactor: the shared epoll-based service runtime. A host serving the BIND
+// meta store, an HNS, and a handful of NSMs needs one reactor — a loop
+// thread and a few workers — not one parked thread per socket.
+//
+// Who reads what. UDP endpoints live in an epoll set the workers wait on
+// themselves: the worker a datagram wakes reads the socket into its own
+// batch, runs the handlers inline, and sends the replies (one sendmmsg per
+// batch). A request therefore costs no hand-off between threads inside
+// the server. The loop thread multiplexes everything else: stream
+// listeners and connections (it parses frames and queues them for the
+// workers), plus the client-channel surface below (posted tasks, timers,
+// client fds).
 //
 // Concurrency model. The sim-era services behind these sockets (RpcServer
 // over World-touching handlers) are not thread-safe, and under
 // thread-per-endpoint they were implicitly serialized by their single serve
-// thread. The reactor preserves that contract by default: each endpoint's
-// messages are processed in arrival order with no two handler invocations
-// in flight at once (a per-endpoint run queue bounces between workers but
-// never runs concurrently). Endpoints whose service is thread-safe opt in
-// to `concurrent` dispatch and fan out across the whole pool — that is
-// where the throughput win over thread-per-endpoint comes from.
+// thread. The reactor preserves that contract by default: a serial UDP
+// endpoint is registered EPOLLONESHOT, so one worker at a time owns it
+// until it has drained the socket and re-armed — handlers never overlap and
+// run in arrival order; a serial stream endpoint's frames go through a
+// per-endpoint run queue. Endpoints whose service is thread-safe opt in to
+// `concurrent` dispatch and fan out across the whole pool. A handler that
+// blocks (an NSM calling BIND) holds its worker, so a chain of nested
+// calls among one reactor's endpoints needs depth + 1 workers.
 //
 // Shutdown is a graceful drain: Stop() first halts the event loop (no new
-// reads or accepts), then lets the workers finish every task already
-// queued, then flushes pending stream writes best-effort and closes all
-// file descriptors. Start() and Stop() are idempotent, and a stopped
-// reactor can be started again.
+// stream frames or accepts) and withdraws the UDP endpoints from the
+// workers, then lets the workers finish every task already queued, then
+// flushes pending stream writes best-effort and closes all file
+// descriptors. Start() and Stop() are idempotent, and a stopped reactor can
+// be started again.
 
 #ifndef HCS_SRC_RPC_REACTOR_H_
 #define HCS_SRC_RPC_REACTOR_H_
@@ -64,7 +72,8 @@ constexpr size_t kMaxStreamFrame = 1 << 20;
 struct ReactorOptions {
   // Worker threads; 0 = min(8, max(2, hardware_concurrency)); -1 = no
   // worker pool at all (a client-only reactor: every callback runs on the
-  // loop thread, which is the async client engine's threading model).
+  // loop thread, which is the async client engine's threading model; it
+  // cannot serve UDP endpoints).
   int workers = 0;
   // Datagrams moved per recvmmsg/sendmmsg on UDP endpoints. 0 = resolve
   // from HCS_UDP_BATCH (default kDefaultUdpBatch); 1 = single-shot
@@ -111,8 +120,9 @@ class Reactor {
   void Stop();
   bool running() const;
 
-  // Registers a bound, nonblocking UDP socket; the reactor takes ownership
-  // of `fd` and serves `service` on it. Requires running().
+  // Registers a bound UDP socket; the reactor takes ownership of `fd`,
+  // makes it nonblocking, and serves `service` on it from the workers.
+  // Requires running() and a worker pool.
   HCS_NODISCARD Status AddUdpEndpoint(int fd, SimService* service, ReactorEndpointOptions options = {});
 
   // Registers a listening, nonblocking TCP socket; accepted connections
@@ -127,8 +137,10 @@ class Reactor {
   // reactor.
 
   // Runs `fn` on the event-loop thread, FIFO with other posted work. Safe
-  // from any thread, including the loop thread itself. Returns false (and
-  // drops `fn`) when the reactor is not running.
+  // from any thread, including the loop thread itself: a post from the
+  // loop costs no wake, because the loop runs posted work until none is
+  // left before it blocks again. Returns false (and drops `fn`) when the
+  // reactor is not running.
   bool Post(std::function<void()> fn);
   // True when called from the event-loop thread (i.e. from a posted task,
   // timer, or client-fd handler).
@@ -174,10 +186,12 @@ class Reactor {
   struct Endpoint;
   struct Conn;
   struct ClientFd;
+  struct WorkerScratch;
 
-  // Tag for the pointer stashed in each epoll event.
+  // Tag for the pointer stashed in each epoll event. kWork and kUdp live in
+  // the workers' set; the rest in the loop's.
   struct Handle {
-    enum class Kind { kWake, kUdp, kListener, kConn, kClient };
+    enum class Kind { kWake, kWork, kUdp, kListener, kConn, kClient };
     Kind kind;
     void* target = nullptr;
   };
@@ -194,19 +208,18 @@ class Reactor {
   // hcs:loop-only
   void RunDueTimers();
 
-  // hcs:loop-only
-  void DrainUdp(Endpoint* endpoint, std::vector<uint8_t>& buffer);
-  // hcs:loop-only
-  void DrainUdpBatched(Endpoint* endpoint);
-  // Checks out a pooled receive batch; the returned shared_ptr keeps the
-  // batch (and every frame view into its arena) alive until the last
-  // in-flight frame task drops it, which returns it to the pool.
-  std::shared_ptr<UdpRecvBatch> AcquireBatch();
-  // Filter + dispatch for one batched frame. A reply goes to *staged
-  // (serial path: one flush per batch) or, when staged is null, to the
-  // endpoint's combining sender (concurrent path).
-  void ProcessUdpFrame(Endpoint* endpoint, UdpFrame& frame, std::vector<UdpReply>* staged);
-  void SubmitUdpReply(Endpoint* endpoint, UdpReply reply);
+  // UDP serving, on whichever worker the endpoint's readiness woke.
+  static uint32_t UdpInterest(const Endpoint& endpoint);
+  // Drains the socket, then re-arms a serial endpoint's one-shot interest.
+  void ServeUdpReady(Endpoint* endpoint, WorkerScratch& scratch);
+  // udp_batch == 1: recvmsg/sendto, one datagram at a time.
+  void DrainUdp(Endpoint* endpoint, WorkerScratch& scratch);
+  // udp_batch > 1: recvmmsg into the worker's batch, one SendReplies per
+  // batch.
+  void DrainUdpBatched(Endpoint* endpoint, WorkerScratch& scratch);
+  // Filter + dispatch for one batched frame; the reply goes to `staged`.
+  void ProcessUdpFrame(Endpoint* endpoint, UdpFrame& frame, std::vector<UdpReply>& staged);
+  void CountDrop(Endpoint* endpoint, uint64_t count);
   // hcs:loop-only
   void DrainAccept(Endpoint* endpoint);
   // hcs:loop-only
@@ -226,9 +239,6 @@ class Reactor {
   int udp_batch_ = 1;
   size_t udp_slot_bytes_ = 0;
 
-  Mutex batch_mu_{"reactor-batch-pool"};
-  std::vector<std::unique_ptr<UdpRecvBatch>> batch_pool_ HCS_GUARDED_BY(batch_mu_);
-
   mutable Mutex state_mu_{"reactor-state"};
   bool running_ HCS_GUARDED_BY(state_mu_) = false;
   std::vector<std::unique_ptr<Endpoint>> endpoints_ HCS_GUARDED_BY(state_mu_);
@@ -240,8 +250,12 @@ class Reactor {
   std::thread loop_thread_;
   std::vector<std::thread> workers_;
 
+  // The workers' epoll set and its one blocking point: UDP endpoints, plus
+  // `work_fd_`, a semaphore eventfd holding one token per queued task.
+  int worker_epoll_fd_ = -1;
+  int work_fd_ = -1;
+  Handle work_handle_{Handle::Kind::kWork, nullptr};
   Mutex work_mu_{"reactor-work"};
-  CondVar work_cv_;
   std::deque<std::function<void()>> work_ HCS_GUARDED_BY(work_mu_);
   bool draining_ HCS_GUARDED_BY(work_mu_) = false;
 

@@ -75,6 +75,7 @@ void ServeLoop(int fd, uint16_t port, SimService* service, std::atomic<bool>* st
       // Transient error: stop serving.
       return;
     }
+    CountUdpRecv();
     Bytes request(buffer.begin(), buffer.begin() + n);
     Status admitted = FilterInbound(GlobalFaultInjector(), port, &request);
     if (!admitted.ok()) {
@@ -92,6 +93,8 @@ void ServeLoop(int fd, uint16_t port, SimService* service, std::atomic<bool>* st
     if (sendto(fd, response->data(), response->size(), 0,
                reinterpret_cast<sockaddr*>(&peer), peer_len) < 0) {
       dropped->fetch_add(1, std::memory_order_relaxed);
+    } else {
+      CountUdpSend();
     }
   }
 }
@@ -322,6 +325,7 @@ namespace {
 // an injected drop into the wrong failure kind).
 struct ClientSocket {
   int fd = -1;
+  int64_t timeout_ms = 0;  // the SO_RCVTIMEO last set on `fd` (0: none yet)
   ~ClientSocket() {
     if (fd >= 0) {
       close(fd);
@@ -331,6 +335,7 @@ struct ClientSocket {
     if (fd >= 0) {
       close(fd);
       fd = -1;
+      timeout_ms = 0;
     }
   }
 };
@@ -352,10 +357,15 @@ Result<Bytes> UdpTransport::Exchange(uint16_t port, const Bytes& message, int64_
   if (timeout_ms < 1) {
     timeout_ms = 1;  // 0 would mean "block forever" to SO_RCVTIMEO
   }
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  (void)setsockopt(sock.fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  if (timeout_ms != sock.timeout_ms) {
+    // Budgeted calls mostly repeat the same first-attempt budget, so the
+    // socket usually has the right timeout already.
+    timeval tv{};
+    tv.tv_sec = timeout_ms / 1000;
+    tv.tv_usec = (timeout_ms % 1000) * 1000;
+    (void)setsockopt(sock.fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    sock.timeout_ms = timeout_ms;
+  }
 
   sockaddr_in addr = LoopbackAddress(port);
   if (sendto(sock.fd, message.data(), message.size(), 0, reinterpret_cast<sockaddr*>(&addr),
@@ -364,6 +374,7 @@ Result<Bytes> UdpTransport::Exchange(uint16_t port, const Bytes& message, int64_
     sock.Abandon();
     return UnavailableError(StrFormat("sendto(): %s", std::strerror(saved)));
   }
+  CountUdpSend();
 
   thread_local std::vector<uint8_t> buffer(kMaxDatagram);
   ssize_t n = recv(sock.fd, buffer.data(), buffer.size(), 0);
@@ -376,6 +387,7 @@ Result<Bytes> UdpTransport::Exchange(uint16_t port, const Bytes& message, int64_
     }
     return UnavailableError(StrFormat("recv(): %s", std::strerror(saved)));
   }
+  CountUdpRecv();
   return Bytes(buffer.begin(), buffer.begin() + n);
 }
 

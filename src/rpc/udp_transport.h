@@ -8,9 +8,9 @@
 //   - kThreadPerEndpoint (the seed model): one background thread per served
 //     endpoint, blocking recvfrom.
 //   - kReactor: every endpoint is a nonblocking socket on a shared epoll
-//     reactor (src/rpc/reactor.h); handlers run on the reactor's worker
-//     pool, serialized per endpoint unless the service opts into
-//     concurrent dispatch.
+//     reactor (src/rpc/reactor.h); the reactor's workers read UDP
+//     endpoints themselves and run the handlers inline, serialized per
+//     endpoint unless the service opts into concurrent dispatch.
 // The default comes from the HCS_REACTOR environment variable (1/0), else
 // the compile-time default (-DHCS_REACTOR=ON). Services must stay alive
 // until StopAll()/destruction. Simulated-time charging is a no-op on this
@@ -118,7 +118,13 @@ class UdpServerHost {
 };
 
 // Client-side transport: each RoundTrip sends one datagram to
-// 127.0.0.1:`port` and waits for the response (per-call timeout).
+// 127.0.0.1:`port` and waits for the response (per-call timeout), on the
+// calling thread, over a socket that thread keeps for its exchanges. Any
+// failed exchange closes that socket, so a reply that arrives after its
+// exchange gave up is never read as the next one's answer. RpcClient::Call
+// runs its datagram calls through here; CallAsync uses the async channel
+// below and the AsyncClientEngine instead. Both paths report their
+// syscalls to SnapshotUdpIoCounters().
 class UdpTransport : public Transport {
  public:
   // `timeout_ms` bounds each exchange; expiry surfaces as kTimeout.

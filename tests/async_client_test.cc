@@ -172,6 +172,18 @@ TEST(AsyncClientTest, StreamPipeliningCompletesOutOfOrderOnOneConnection) {
   }
   EXPECT_EQ(engine.stats().stream_connects, 1u)
       << "pipelined calls must share one connection";
+  // A future turns ready before its completion callback runs (both on the
+  // loop thread), so the last callback may still be in flight when the
+  // last Wait() returns: give it a bounded moment to land.
+  for (int spin = 0; spin < 2000; ++spin) {
+    {
+      std::lock_guard<std::mutex> lock(order_mu);
+      if (completion_order.size() == static_cast<size_t>(kCalls)) {
+        break;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   {
     std::lock_guard<std::mutex> lock(order_mu);
     ASSERT_EQ(completion_order.size(), static_cast<size_t>(kCalls));
@@ -643,6 +655,153 @@ int BindBlackHole(uint16_t* port_out) {
   return fd;
 }
 
+// --- Sync datagram calls run on the caller's thread -------------------------
+//
+// RpcClient::Call over UdpTransport makes its exchange on the calling thread
+// (DESIGN.md §14); these pin that it never touches the engine and that the
+// blocking path keeps the retry and stale-reply rules.
+
+TEST(AsyncClientTest, SyncUdpCallBypassesTheEngine) {
+  UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/2);
+  RpcServer server(ControlKind::kSunRpc, "sync-echo");
+  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  Result<uint16_t> port = host.Serve(&server, 0);
+  ASSERT_TRUE(port.ok()) << port.status();
+  UdpTransport transport;
+  RpcClient client(nullptr, "localclient", &transport);
+  HrpcBinding binding = UdpBinding(*port, 7, ControlKind::kSunRpc);
+
+  const uint64_t before = GlobalAsyncClientEngine()->stats().calls;
+  for (int i = 0; i < 5; ++i) {
+    Result<Bytes> reply =
+        client.Call(binding, 1, Bytes{static_cast<uint8_t>(i)}, RequestContext::WithTimeout(2000));
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_EQ(*reply, Bytes{static_cast<uint8_t>(i)});
+  }
+  EXPECT_EQ(GlobalAsyncClientEngine()->stats().calls, before)
+      << "a sync datagram Call went through the engine";
+
+  // Control: the same call made async is an engine call.
+  ASSERT_TRUE(client.CallAsync(binding, 1, Bytes{9}).Wait().ok());
+  EXPECT_EQ(GlobalAsyncClientEngine()->stats().calls, before + 1);
+  host.StopAll();
+}
+
+// A raw datagram server for the retry tests below: `serve(fd)` runs on its
+// own thread and sees every datagram the client sends.
+struct RawUdpServer {
+  int fd = -1;
+  uint16_t port = 0;
+  std::thread thread;
+
+  template <typename Fn>
+  explicit RawUdpServer(Fn serve) {
+    fd = BindBlackHole(&port);
+    if (fd >= 0) {
+      thread = std::thread([this, serve] { serve(fd); });
+    }
+  }
+  ~RawUdpServer() {
+    if (thread.joinable()) {
+      thread.join();
+    }
+    if (fd >= 0) {
+      close(fd);
+    }
+  }
+};
+
+struct RawRequest {
+  sockaddr_in peer{};
+  socklen_t peer_len = sizeof(sockaddr_in);
+  RpcCall call;
+};
+
+bool RecvRawCall(int fd, RawRequest* out) {
+  uint8_t buf[2048];
+  out->peer_len = sizeof(out->peer);
+  ssize_t n = recvfrom(fd, buf, sizeof(buf), 0, reinterpret_cast<sockaddr*>(&out->peer),
+                       &out->peer_len);
+  if (n <= 0) {
+    return false;
+  }
+  Result<RpcCall> call = GetControlProtocol(ControlKind::kRaw).DecodeCall(Bytes(buf, buf + n));
+  if (!call.ok()) {
+    return false;
+  }
+  out->call = std::move(call).value();
+  return true;
+}
+
+void SendRawEcho(int fd, const RawRequest& request) {
+  RpcReplyMsg reply;
+  reply.xid = request.call.xid;
+  reply.results = request.call.args;
+  Bytes wire = GetControlProtocol(ControlKind::kRaw).EncodeReply(reply);
+  (void)sendto(fd, wire.data(), wire.size(), 0,
+               reinterpret_cast<const sockaddr*>(&request.peer),
+               request.peer_len);  // hcs:ignore-status(test server; a lost reply fails the client's assertion)
+}
+
+TEST(AsyncClientTest, SyncCallRetriesADroppedFirstAttemptUnderTheSameXid) {
+  std::vector<uint32_t> xids;
+  std::vector<uint32_t> attempts;
+  RawUdpServer server([&](int fd) {
+    RawRequest first;
+    RawRequest second;
+    if (!RecvRawCall(fd, &first) || !RecvRawCall(fd, &second)) {
+      return;
+    }
+    // The first attempt is dropped on the floor; only the retry is answered.
+    xids = {first.call.xid, second.call.xid};
+    attempts = {first.call.context.attempt, second.call.context.attempt};
+    SendRawEcho(fd, second);
+  });
+  ASSERT_GE(server.fd, 0);
+
+  UdpTransport transport(/*timeout_ms=*/100);
+  RpcClient client(nullptr, "localclient", &transport);
+  RpcCallInfo info;
+  Result<Bytes> reply = client.Call(UdpBinding(server.port, 7, ControlKind::kRaw), 1,
+                                    Bytes{4, 2}, RequestContext::WithTimeout(3000), &info);
+  server.thread.join();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(*reply, (Bytes{4, 2}));
+  EXPECT_EQ(info.attempts, 2u);
+  EXPECT_EQ(info.retries, 1u);
+  ASSERT_EQ(xids.size(), 2u);
+  EXPECT_EQ(xids[0], xids[1]) << "a retry is the same call: it keeps its xid";
+  EXPECT_EQ(attempts, (std::vector<uint32_t>{0, 1})) << "the attempt counter is re-marshalled";
+}
+
+TEST(AsyncClientTest, LateReplyToAnAbandonedAttemptIsNeverTheNextCallsAnswer) {
+  RawUdpServer server([](int fd) {
+    RawRequest stale;
+    RawRequest next;
+    if (!RecvRawCall(fd, &stale) || !RecvRawCall(fd, &next)) {
+      return;
+    }
+    // Answer the first call only once the client gave up on it and moved
+    // on, to the address it was sent from, then answer the second.
+    SendRawEcho(fd, stale);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    SendRawEcho(fd, next);
+  });
+  ASSERT_GE(server.fd, 0);
+
+  UdpTransport transport(/*timeout_ms=*/100);
+  RpcClient client(nullptr, "localclient", &transport);
+  HrpcBinding binding = UdpBinding(server.port, 7, ControlKind::kRaw);
+  // No deadline: one attempt, which times out.
+  Result<Bytes> first = client.Call(binding, 1, Bytes{1});
+  EXPECT_EQ(first.status().code(), StatusCode::kTimeout) << first.status();
+  Result<Bytes> second = client.Call(binding, 1, Bytes{2});
+  server.thread.join();
+  ASSERT_TRUE(second.ok()) << "the stale reply was read as this call's answer: "
+                           << second.status();
+  EXPECT_EQ(*second, Bytes{2});
+}
+
 // 1k futures across four contention classes — plain success, tight deadline
 // racing the reply, guaranteed timeout, and a final wave destroyed mid-
 // flight with the engine — each counting its OnComplete firings. Every
@@ -764,6 +923,36 @@ void WaitOnLoopThread(ServeMode mode) {
   close(hole_fd);
 }
 
+// A sync Call made on the loop thread blocks the loop for the whole
+// exchange; the detector aborts instead, naming the caller.
+void SyncCallOnLoopThread() {
+  UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/2);
+  RpcServer server(ControlKind::kSunRpc, "call-on-loop");
+  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  Result<uint16_t> port = host.Serve(&server, 0);
+  ASSERT_TRUE(port.ok()) << port.status();
+
+  UdpTransport transport;
+  RpcClient client(nullptr, "localclient", &transport);
+  AsyncClientEngine engine;
+  client.set_async_engine(&engine);
+  HrpcBinding binding = UdpBinding(*port, 7, ControlKind::kSunRpc);
+
+  uint16_t hole_port = 0;
+  int hole_fd = BindBlackHole(&hole_port);
+  ASSERT_GE(hole_fd, 0);
+  // Still pending when OnComplete registers, so the callback runs on the
+  // loop thread when the 50 ms budget expires.
+  RpcFuture doomed = client.CallAsync(UdpBinding(hole_port, 7, ControlKind::kSunRpc), 1,
+                                      Bytes{3}, RequestContext::WithTimeout(50));
+  doomed.OnComplete([&client, binding](const Result<Bytes>&, const RpcCallInfo&) {
+    // hcs:ignore-status(deliberate violation: the detector aborts inside this Call)
+    (void)client.Call(binding, 1, Bytes{2});  // on the loop thread
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(2000));  // the child aborts ~50 ms in
+  close(hole_fd);
+}
+
 // Touching a running reactor's loop-owned state (the timer wheel) from off
 // the loop thread must abort, naming the violating entry point.
 void TouchLoopOwnedStateOffLoop(ServeMode mode) {
@@ -798,6 +987,11 @@ TEST(LoopAffinityDeathTest, WaitOnLoopThreadAbortsWithBirthSiteThreadPerEndpoint
 TEST(LoopAffinityDeathTest, WaitOnLoopThreadAbortsWithBirthSiteReactor) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(WaitOnLoopThread(ServeMode::kReactor), "self-deadlocks.*async_client_test");
+}
+
+TEST(LoopAffinityDeathTest, SyncCallOnLoopThreadAbortsWithCallSite) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(SyncCallOnLoopThread(), "RpcClient::Call\\(\\) on the event-loop thread.*async_client_test");
 }
 
 TEST(LoopAffinityDeathTest, OffLoopTimerAccessAbortsThreadPerEndpoint) {

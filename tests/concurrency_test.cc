@@ -7,6 +7,8 @@
 //   2. The sharded LRU under a mixed Put/Get/Remove load, checked against
 //      HnsCache::CheckInvariants afterwards.
 //   3. Multi-threaded logging through the hcs::Mutex sink — no torn lines.
+//   4. The reactor's serving contract under concurrent clients: a serial
+//      UDP endpoint's handlers never overlap, a concurrent one's do.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -25,6 +27,8 @@
 #include "src/common/sync.h"
 #include "src/hns/hns.h"
 #include "src/hns/name.h"
+#include "src/rpc/client.h"
+#include "src/rpc/server.h"
 #include "src/rpc/udp_transport.h"
 #include "src/sim/world.h"
 #include "src/wire/value.h"
@@ -294,6 +298,92 @@ TEST(ConcurrencyTest, LogLinesNeverTearAcrossThreads) {
   }
   EXPECT_EQ(well_formed, static_cast<size_t>(kThreads * kLinesPerThread));
   EXPECT_EQ(marker_mentions, well_formed) << "some log line was torn mid-write";
+}
+
+// --- Reactor serving contract -----------------------------------------------
+
+struct OverlapProbe {
+  int max_in_flight = 0;
+  int overlapping_calls = 0;  // handler entries that found another in flight
+  int answered = 0;
+};
+
+// Four clients, each making the same 30 sync calls, against one reactor
+// UDP endpoint whose handler counts how many invocations are in flight.
+OverlapProbe ProbeHandlerOverlap(bool concurrent) {
+  constexpr int kClients = 4;
+  constexpr int kCallsPerClient = 30;
+  UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/kClients);
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
+  std::atomic<int> overlapping{0};
+  RpcServer server(ControlKind::kRaw, "overlap-probe");
+  server.RegisterProcedure(7, 1, [&](const Bytes& args) -> Result<Bytes> {
+    int now = in_flight.fetch_add(1) + 1;
+    if (now > 1) {
+      overlapping.fetch_add(1);
+    }
+    int seen = max_in_flight.load();
+    while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    in_flight.fetch_sub(1);
+    return args;
+  });
+  Result<uint16_t> port = concurrent ? host.ServeConcurrent(&server, 0) : host.Serve(&server, 0);
+  EXPECT_TRUE(port.ok()) << port.status();
+  if (!port.ok()) {
+    return {};
+  }
+  HrpcBinding binding;
+  binding.service_name = "overlap-probe";
+  binding.host = "localhost";
+  binding.port = *port;
+  binding.program = 7;
+  binding.version = 2;
+  binding.control = ControlKind::kRaw;
+
+  std::atomic<int> answered{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      UdpTransport transport;
+      RpcClient client(nullptr, "localclient", &transport);
+      for (int i = 0; i < kCallsPerClient; ++i) {
+        Bytes payload{static_cast<uint8_t>(c), static_cast<uint8_t>(i)};
+        Result<Bytes> reply = client.Call(binding, 1, payload, RequestContext::WithTimeout(5000));
+        if (reply.ok() && *reply == payload) {
+          answered.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) {
+    client.join();
+  }
+  host.StopAll();
+  OverlapProbe probe;
+  probe.max_in_flight = max_in_flight.load();
+  probe.overlapping_calls = overlapping.load();
+  probe.answered = answered.load();
+  EXPECT_EQ(probe.answered, kClients * kCallsPerClient);
+  return probe;
+}
+
+TEST(ConcurrencyTest, SerialUdpEndpointHandlersNeverOverlap) {
+  OverlapProbe serial = ProbeHandlerOverlap(/*concurrent=*/false);
+  // Control: the identical traffic against a concurrent endpoint overlaps,
+  // so the probe can see an overlap when there is one.
+  OverlapProbe control = ProbeHandlerOverlap(/*concurrent=*/true);
+  EXPECT_GT(control.overlapping_calls, 0) << "the control run never overlapped";
+  EXPECT_EQ(serial.overlapping_calls, 0)
+      << "serial handlers overlapped (max in flight " << serial.max_in_flight << ")";
+  EXPECT_EQ(serial.max_in_flight, 1);
+}
+
+TEST(ConcurrencyTest, ConcurrentUdpEndpointHandlersOverlap) {
+  OverlapProbe probe = ProbeHandlerOverlap(/*concurrent=*/true);
+  EXPECT_GT(probe.max_in_flight, 1) << "a concurrent endpoint ran one handler at a time";
 }
 
 }  // namespace

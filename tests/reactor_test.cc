@@ -7,6 +7,9 @@
 //     UDP and length-prefixed stream endpoints.
 //   - The FindNSM vs Register/Unregister storm from concurrency_test.cc,
 //     re-run with the meta authority served by the reactor.
+//   - The worker-read serving model: nested calls between endpoints of one
+//     reactor, Stop() with handlers mid-flight, and loop-thread self-posts
+//     that skip the eventfd wake.
 //   - RequestContext deadline semantics: client-side shed before send,
 //     dispatch-time shed when queue delay eats the budget, ambient
 //     inheritance across a server hop, NSM budget checks, and per-attempt
@@ -16,6 +19,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -252,6 +256,116 @@ TEST(ReactorTest, FindNsmStormAgainstReactorServedMetaStore) {
   }
   EXPECT_TRUE(converged) << "FindNSM never recovered after the registration storm";
   server_host.StopAll();
+}
+
+// --- The worker-read serving model ------------------------------------------
+
+// A serial handler that blocks on a call to a sibling endpoint of the same
+// reactor holds one worker while another serves the sibling: with the
+// default pool (at least two workers) the nested call completes.
+TEST(ReactorTest, SerialHandlerNestedCallCompletesWithDefaultWorkers) {
+  UdpServerHost host(ServeMode::kReactor);
+  RpcServer backend(ControlKind::kRaw, "nested-backend");
+  backend.RegisterProcedure(8, 1, [](const Bytes& args) -> Result<Bytes> {
+    Bytes out = args;
+    out.push_back(0xbe);
+    return out;
+  });
+  Result<uint16_t> backend_port = host.Serve(&backend, 0);
+  ASSERT_TRUE(backend_port.ok()) << backend_port.status();
+
+  UdpTransport nested_transport;
+  RpcClient nested_client(/*world=*/nullptr, "fronthost", &nested_transport);
+  RpcServer front(ControlKind::kRaw, "nested-front");
+  front.RegisterProcedure(7, 1, [&](const Bytes& args) -> Result<Bytes> {
+    return nested_client.Call(LoopbackBinding(*backend_port, 8, ControlKind::kRaw), 1, args);
+  });
+  Result<uint16_t> front_port = host.Serve(&front, 0);
+  ASSERT_TRUE(front_port.ok()) << front_port.status();
+
+  UdpTransport transport(/*timeout_ms=*/2000);
+  RpcClient client(/*world=*/nullptr, "localclient", &transport);
+  for (int i = 0; i < 20; ++i) {
+    Result<Bytes> reply = client.Call(LoopbackBinding(*front_port, 7, ControlKind::kRaw), 1,
+                                      Bytes{static_cast<uint8_t>(i)});
+    ASSERT_TRUE(reply.ok()) << "call " << i << ": " << reply.status();
+    EXPECT_EQ(*reply, (Bytes{static_cast<uint8_t>(i), 0xbe}));
+  }
+  host.StopAll();
+}
+
+// Stop() while workers sit inside slow handlers: the handlers finish, the
+// workers join, and no client is left hanging past its own timeout.
+TEST(ReactorTest, StopWithHandlersMidFlightJoinsCleanly) {
+  UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/4);
+  std::atomic<int> entered{0};
+  std::atomic<int> finished{0};
+  RpcServer slow(ControlKind::kRaw, "slow-concurrent");
+  slow.RegisterProcedure(7, 1, [&](const Bytes& args) -> Result<Bytes> {
+    entered.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    finished.fetch_add(1);
+    return args;
+  });
+  Result<uint16_t> port = host.ServeConcurrent(&slow, 0);
+  ASSERT_TRUE(port.ok()) << port.status();
+
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      UdpTransport transport(/*timeout_ms=*/500);
+      RpcClient client(/*world=*/nullptr, "localclient", &transport);
+      // hcs:ignore-status(the reply may or may not beat the stop; only the join is under test)
+      (void)client.Call(LoopbackBinding(*port, 7, ControlKind::kRaw), 1,
+                        Bytes{static_cast<uint8_t>(c)});
+    });
+  }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (entered.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(entered.load(), 0) << "no handler started";
+  host.StopAll();
+  EXPECT_EQ(finished.load(), entered.load()) << "Stop returned with a handler still running";
+  for (std::thread& client : clients) {
+    client.join();
+  }
+}
+
+// Tasks posted from the loop thread skip the eventfd wake; the loop must
+// still run them before it blocks. A 1000-link chain of self-posts on an
+// otherwise idle loop completes only if no wake is ever lost.
+TEST(ReactorTest, SelfPostChainFromLoopTasksCompletes) {
+  ReactorOptions options;
+  options.workers = -1;  // client-only: nothing else to wake the loop
+  Reactor reactor(options);
+  ASSERT_TRUE(reactor.Start().ok());
+  constexpr int kLinks = 1000;
+  Mutex mu;
+  CondVar cv;
+  int ran = 0;
+  bool posted_on_loop = true;
+  std::function<void()> link = [&] {
+    bool done = false;
+    {
+      MutexLock lock(mu);
+      posted_on_loop = posted_on_loop && reactor.on_loop_thread();
+      done = ++ran == kLinks;
+    }
+    if (done) {
+      cv.NotifyAll();
+    } else {
+      EXPECT_TRUE(reactor.Post(link));
+    }
+  };
+  ASSERT_TRUE(reactor.Post(link));
+  {
+    MutexLock lock(mu);
+    EXPECT_TRUE(cv.WaitFor(mu, 5000, [&] { return ran == kLinks; }))
+        << "the chain stalled after " << ran << " links: a loop-thread post lost its wake";
+    EXPECT_TRUE(posted_on_loop);
+  }
+  reactor.Stop();
 }
 
 // --- RequestContext deadline semantics --------------------------------------

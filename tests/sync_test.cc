@@ -127,6 +127,30 @@ TEST(SyncTest, ConsistentLockOrderDoesNotTrip) {
   SetDeadlockDetectorEnabled(false);
 }
 
+// Constructing a mutex touches no global state: the order graph learns a
+// mutex only when an edge through it is recorded. A million short-lived
+// anonymous mutexes, each locked with nothing else held, leave the graph
+// exactly as it was.
+TEST(SyncTest, ShortLivedMutexesLeaveTheOrderGraphUnchanged) {
+  SetDeadlockDetectorEnabled(true);
+  const size_t before = LockOrderGraphNodeCount();
+  for (int i = 0; i < 1000000; ++i) {
+    Mutex mu;
+    MutexLock lock(mu);
+  }
+  EXPECT_EQ(LockOrderGraphNodeCount(), before);
+
+  // Control: one nested acquisition is what registers nodes.
+  Mutex outer("graph-probe-outer");
+  Mutex inner("graph-probe-inner");
+  {
+    MutexLock lo(outer);
+    MutexLock li(inner);
+  }
+  EXPECT_EQ(LockOrderGraphNodeCount(), before + 2);
+  SetDeadlockDetectorEnabled(false);
+}
+
 // The acceptance-criteria death test: seed the graph with A -> B, then
 // acquire in the inverted order. The detector must abort before the
 // processes could deadlock, naming both acquisition contexts.
@@ -147,7 +171,8 @@ TEST(SyncDeathTest, LockOrderInversionAborts) {
           MutexLock la(a);  // b -> a closes the cycle: abort
         }
       },
-      "lock-order inversion");
+      "lock-order inversion.*holds 'inversion-b' \\(id [0-9]+\\), acquiring 'inversion-a'"
+      ".*edge inversion-a -> inversion-b");
 }
 
 // Three-lock cycle through an intermediate edge: A -> B, B -> C, then C -> A.
@@ -173,7 +198,8 @@ TEST(SyncDeathTest, TransitiveInversionAborts) {
           MutexLock la(a);  // c -> a, but a -> b -> c is on record
         }
       },
-      "lock-order inversion");
+      "lock-order inversion.*holds 'chain-c' \\(id [0-9]+\\), acquiring 'chain-a'"
+      ".*edge chain-a -> chain-b.*edge chain-b -> chain-c");
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 // called through the unmodified RpcClient — the HRPC transport component
 // swapped for a real one.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -14,6 +18,7 @@
 #include "src/bindns/server.h"
 #include "src/hns/meta_store.h"
 #include "src/rpc/client.h"
+#include "src/rpc/mmsg.h"
 #include "src/rpc/ports.h"
 #include "src/rpc/server.h"
 #include "src/rpc/udp_transport.h"
@@ -89,6 +94,46 @@ TEST(UdpTransportTest, DeadPortTimesOut) {
   EXPECT_TRUE(reply.status().code() == StatusCode::kTimeout ||
               reply.status().code() == StatusCode::kUnavailable)
       << reply.status();
+}
+
+// The blocking exchange reports its syscalls to the UDP I/O counters like
+// the batched paths do. The peer is a raw socket echo, whose own
+// recvfrom/sendto are not counted, so the deltas are the client's alone.
+TEST(UdpTransportTest, BlockingExchangeIsCountedOnce) {
+  int server_fd = socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(server_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(bind(server_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(getsockname(server_fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  std::thread echo([server_fd] {
+    uint8_t buf[2048];
+    sockaddr_in peer{};
+    socklen_t peer_len = sizeof(peer);
+    ssize_t n = recvfrom(server_fd, buf, sizeof(buf), 0, reinterpret_cast<sockaddr*>(&peer),
+                         &peer_len);
+    if (n > 0) {
+      (void)sendto(server_fd, buf, static_cast<size_t>(n), 0,
+                   reinterpret_cast<sockaddr*>(&peer),
+                   peer_len);  // hcs:ignore-status(test echo; a lost reply fails the exchange)
+    }
+  });
+
+  UdpTransport transport(/*timeout_ms=*/2000);
+  const UdpIoSnapshot before = SnapshotUdpIoCounters();
+  Result<Bytes> reply = transport.RoundTrip("client", "server", ntohs(addr.sin_port),
+                                            Bytes{1, 2, 3});
+  const UdpIoSnapshot after = SnapshotUdpIoCounters();
+  echo.join();
+  close(server_fd);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(*reply, (Bytes{1, 2, 3}));
+  EXPECT_EQ(after.send_syscalls - before.send_syscalls, 1u);
+  EXPECT_EQ(after.send_datagrams - before.send_datagrams, 1u);
+  EXPECT_EQ(after.recv_syscalls - before.recv_syscalls, 1u);
+  EXPECT_EQ(after.recv_datagrams - before.recv_datagrams, 1u);
 }
 
 TEST(UdpTransportTest, ConcurrentClientsAreServedCorrectly) {

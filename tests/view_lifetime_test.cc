@@ -323,12 +323,10 @@ void ServeWithRetainingHandler(ServeMode mode) {
   sockaddr_in addr = Loopback(*port);
   std::vector<uint8_t> buf(2048);
   // Request 1 arms the retention; every later request dereferences the
-  // stale view. The reactor returns a batch to the pool only when its last
-  // in-flight frame task drops it, which races with the next Recv acquiring
-  // one — so a single follow-up request is not guaranteed to land in the
-  // recycled batch. Pause between requests and keep sending until the
-  // reuse happens and the generation stamp aborts the server (in practice
-  // the second request; the loop bounds the slow-timing case).
+  // stale view. With one reactor worker, request 2 lands in the same
+  // worker-owned batch, whose Recv has reset the arena, so the generation
+  // stamp aborts the server on the second request. The loop (with a pause
+  // between requests) bounds the slow-timing case.
   for (uint32_t xid = 1; xid <= 10; ++xid) {
     Bytes call = EncodeEchoCall(xid, Bytes{0x5a, 0x5a});
     ASSERT_EQ(sendto(fd, call.data(), call.size(), 0,
