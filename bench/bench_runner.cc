@@ -46,8 +46,9 @@ struct ScenarioResult {
 
 // Hosts `server` on the reactor with concurrent dispatch and the given
 // batch size, then drives the closed-loop client sweep. One scenario, one
-// host: the UdpIoSnapshot delta isolates this scenario's server-side
-// syscalls (client sockets do not go through the mmsg wrappers).
+// host: the UdpIoSnapshot delta isolates this scenario's traffic, and
+// dropping the blocking client exchanges' share (the exchange_* counts)
+// leaves the server-side syscalls.
 ScenarioResult RunScenario(const std::string& name, RpcServer* server, int udp_batch,
                            int clients, int requests_per_client, Baseline baseline,
                            ServeMode mode = ServeMode::kReactor) {
@@ -83,7 +84,7 @@ ScenarioResult RunScenario(const std::string& name, RpcServer* server, int udp_b
 // client process-thread holding `window` CallAsync requests in flight
 // (bench_reactor_util's DriveClientsAsync) instead of `window` blocking
 // threads with one call each. The engine's UDP channel batches through the
-// mmsg wrappers too, so this scenario's syscall delta covers BOTH sides of
+// mmsg wrappers, so this scenario's syscall delta covers BOTH sides of
 // the wire — client and server — unlike the thread-per-call rows.
 ScenarioResult RunScenarioAsync(const std::string& name, RpcServer* server, int udp_batch,
                                 int window, int requests_per_slot, Baseline baseline,
@@ -131,20 +132,23 @@ void AppendJsonScenario(std::string* out, const ScenarioResult& r, bool last) {
   add("      \"p50_us\": %.1f,\n", r.point.p50_ms * 1000.0);
   add("      \"p99_us\": %.1f,\n", r.point.p99_ms * 1000.0);
 
-  uint64_t recv_sys = r.after.recv_syscalls - r.before.recv_syscalls;
-  uint64_t send_sys = r.after.send_syscalls - r.before.send_syscalls;
-  uint64_t recv_dg = r.after.recv_datagrams - r.before.recv_datagrams;
-  uint64_t send_dg = r.after.send_datagrams - r.before.send_datagrams;
+  // Blocking client exchanges (the thread-per-call rows) are one datagram
+  // per syscall; leaving them out reports the serving side alone.
+  uint64_t client_recv = r.after.exchange_recv_syscalls - r.before.exchange_recv_syscalls;
+  uint64_t client_send = r.after.exchange_send_syscalls - r.before.exchange_send_syscalls;
+  uint64_t recv_sys = r.after.recv_syscalls - r.before.recv_syscalls - client_recv;
+  uint64_t send_sys = r.after.send_syscalls - r.before.send_syscalls - client_send;
+  uint64_t recv_dg = r.after.recv_datagrams - r.before.recv_datagrams - client_recv;
+  uint64_t send_dg = r.after.send_datagrams - r.before.send_datagrams - client_send;
   if (recv_dg + send_dg > 0 && r.requests > 0) {
     double n = static_cast<double>(r.requests);
     add("      \"recv_syscalls_per_req\": %.3f,\n", static_cast<double>(recv_sys) / n);
     add("      \"send_syscalls_per_req\": %.3f,\n", static_cast<double>(send_sys) / n);
     add("      \"syscalls_per_req\": %.3f,\n", static_cast<double>(recv_sys + send_sys) / n);
   } else {
-    // No wrapper traffic in this window (a server on the single-shot legacy
-    // path, driven by a client stack that predates the async engine's
-    // batched UDP channel). With the engine in the loop the client side
-    // always batches, so this branch is only reachable on historic replays.
+    // No serving-side traffic counted in this window. Every serve path
+    // counts its syscalls, so this branch is only reachable on historic
+    // replays.
     add("      \"recv_syscalls_per_req\": null,\n");
     add("      \"send_syscalls_per_req\": null,\n");
     add("      \"syscalls_per_req\": null,\n");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <optional>
 #include <thread>
 
 #include "src/common/rand.h"
@@ -210,6 +211,24 @@ Result<Bytes> RpcClient::CallBlocking(const ControlProtocol& control, const Hrpc
   // attempt so virtual-clock runs stay deterministic.
   const bool budgeted = effective.has_deadline() && transport_->SupportsBudget();
 
+  // Courier transaction ids are 16-bit; compare within the protocol's width.
+  const uint32_t want_xid =
+      binding.control == ControlKind::kCourier ? (call.xid & 0xffff) : call.xid;
+  // The datagram socket this thread reuses may still hold a duplicate or a
+  // late reply to an earlier call; only this call's xid is its answer. A
+  // datagram that does not parse as a reply header goes to the decoder,
+  // which reports it.
+  struct XidMatcher final : ReplyMatcher {
+    const ControlProtocol* control;
+    uint32_t xid;
+    XidMatcher(const ControlProtocol* c, uint32_t x) : control(c), xid(x) {}
+    bool Matches(const uint8_t* data, size_t size) const override {
+      std::optional<uint32_t> got = control->PeekReplyXid(data, size);
+      return !got.has_value() || *got == xid;
+    }
+  };
+  const XidMatcher matcher(&control, want_xid);
+
   Result<Bytes> response = UnavailableError("not attempted");
   int64_t backoff_ms = RetryPolicy::kBackoffBaseMs;
   ScratchLease scratch;
@@ -236,11 +255,12 @@ Result<Bytes> RpcClient::CallBlocking(const ControlProtocol& control, const Hrpc
       }
       ++info.attempts;
       int64_t attempt_budget = RetryPolicy::AttemptBudgetMs(attempt, remaining);
-      response = transport_->RoundTripWithBudget(local_host_, binding.host, binding.port,
-                                                 message, attempt_budget);
+      response = transport_->RoundTripMatching(local_host_, binding.host, binding.port, message,
+                                               attempt_budget, matcher);
     } else {
       ++info.attempts;
-      response = transport_->RoundTrip(local_host_, binding.host, binding.port, message);
+      response = transport_->RoundTripMatching(local_host_, binding.host, binding.port, message,
+                                               /*budget_ms=*/0, matcher);
     }
     if (info_out != nullptr) {
       *info_out = info;
@@ -276,9 +296,6 @@ Result<Bytes> RpcClient::CallBlocking(const ControlProtocol& control, const Hrpc
   }
 
   HCS_ASSIGN_OR_RETURN(RpcReplyMsg reply, control.DecodeReply(*response));
-  // Courier transaction ids are 16-bit; compare within the protocol's width.
-  uint32_t want_xid =
-      binding.control == ControlKind::kCourier ? (call.xid & 0xffff) : call.xid;
   if (reply.xid != want_xid) {
     return ProtocolError(
         StrFormat("reply xid %u does not match call xid %u", reply.xid, want_xid));

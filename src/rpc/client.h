@@ -70,7 +70,9 @@ class RpcClient {
   // on the calling thread — one blocking send/receive per attempt over
   // UdpTransport's thread-local socket, with no future and no engine hop,
   // because a caller about to block gains nothing from a loop thread in
-  // between (DESIGN.md §14). On a stream transport Call is
+  // between (DESIGN.md §14). Only a reply carrying this call's xid ends an
+  // attempt; a stray (a duplicate or a late reply to an earlier call) is
+  // dropped. On a stream transport Call is
   // CallAsync(...).Wait(): the engine owns the pooled connections. Either
   // way, debug builds abort a Call made on a reactor loop thread, naming
   // `birth` (the caller).

@@ -116,6 +116,16 @@ class SunRpcControl : public ControlProtocol {
     enc.PutOpaque(reply.results);
   }
 
+  std::optional<uint32_t> PeekReplyXid(const uint8_t* data, size_t size) const override {
+    XdrDecoder dec(data, size);
+    Result<uint32_t> xid = dec.GetUint32();
+    Result<uint32_t> mtype = dec.GetUint32();
+    if (!xid.ok() || !mtype.ok() || *mtype != kMsgTypeReply) {
+      return std::nullopt;
+    }
+    return *xid;
+  }
+
   Result<RpcReplyMsg> DecodeReply(const Bytes& message) const override {
     XdrDecoder dec(message);
     RpcReplyMsg reply;
@@ -236,6 +246,16 @@ class CourierControl : public ControlProtocol {
     }
   }
 
+  std::optional<uint32_t> PeekReplyXid(const uint8_t* data, size_t size) const override {
+    CourierDecoder dec(data, size);
+    Result<uint16_t> mtype = dec.GetCardinal();
+    Result<uint16_t> tid = dec.GetCardinal();
+    if (!mtype.ok() || !tid.ok() || (*mtype != kCourierReturn && *mtype != kCourierAbort)) {
+      return std::nullopt;
+    }
+    return *tid;
+  }
+
   Result<RpcReplyMsg> DecodeReply(const Bytes& message) const override {
     CourierDecoder dec(message);
     HCS_ASSIGN_OR_RETURN(uint16_t mtype, dec.GetCardinal());
@@ -311,6 +331,16 @@ class RawControl : public ControlProtocol {
     enc.PutUint32(static_cast<uint32_t>(reply.app_status));
     enc.PutString(reply.error_message);
     enc.PutOpaque(reply.results);
+  }
+
+  std::optional<uint32_t> PeekReplyXid(const uint8_t* data, size_t size) const override {
+    XdrDecoder dec(data, size);
+    Result<uint32_t> magic = dec.GetUint32();
+    Result<uint32_t> xid = dec.GetUint32();
+    if (!magic.ok() || !xid.ok() || *magic != kRawMagic) {
+      return std::nullopt;
+    }
+    return *xid;
   }
 
   Result<RpcReplyMsg> DecodeReply(const Bytes& message) const override {

@@ -11,6 +11,7 @@
 #define HCS_SRC_RPC_CONTROL_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "src/common/bytes.h"
@@ -72,6 +73,10 @@ class ControlProtocol {
   HCS_NODISCARD virtual Result<RpcCallView> DecodeCallView(const uint8_t* data,
                                                            size_t size) const = 0;
   HCS_NODISCARD virtual Result<RpcReplyMsg> DecodeReply(const Bytes& message) const = 0;
+  // The transaction id a reply's header carries (Courier's is 16 bits),
+  // read without decoding the body; nullopt when the bytes do not start
+  // like a reply of this protocol.
+  virtual std::optional<uint32_t> PeekReplyXid(const uint8_t* data, size_t size) const = 0;
 
   // Owning convenience wrappers over the primitives above.
   Bytes EncodeCall(const RpcCall& call) const {

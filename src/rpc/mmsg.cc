@@ -18,6 +18,9 @@ struct UdpIoCounters {
   std::atomic<uint64_t> recv_datagrams{0};
   std::atomic<uint64_t> send_syscalls{0};
   std::atomic<uint64_t> send_datagrams{0};
+  // One datagram per syscall: the snapshot adds these to both totals.
+  std::atomic<uint64_t> exchange_recvs{0};
+  std::atomic<uint64_t> exchange_sends{0};
 };
 
 UdpIoCounters& Counters() {
@@ -89,6 +92,12 @@ UdpIoSnapshot SnapshotUdpIoCounters() {
   out.recv_datagrams = c.recv_datagrams.load(std::memory_order_relaxed);
   out.send_syscalls = c.send_syscalls.load(std::memory_order_relaxed);
   out.send_datagrams = c.send_datagrams.load(std::memory_order_relaxed);
+  out.exchange_recv_syscalls = c.exchange_recvs.load(std::memory_order_relaxed);
+  out.exchange_send_syscalls = c.exchange_sends.load(std::memory_order_relaxed);
+  out.recv_syscalls += out.exchange_recv_syscalls;
+  out.recv_datagrams += out.exchange_recv_syscalls;
+  out.send_syscalls += out.exchange_send_syscalls;
+  out.send_datagrams += out.exchange_send_syscalls;
   return out;
 }
 
@@ -101,6 +110,10 @@ void CountUdpSend() {
   Counters().send_syscalls.fetch_add(1, std::memory_order_relaxed);
   Counters().send_datagrams.fetch_add(1, std::memory_order_relaxed);
 }
+
+void CountUdpExchangeRecv() { Counters().exchange_recvs.fetch_add(1, std::memory_order_relaxed); }
+
+void CountUdpExchangeSend() { Counters().exchange_sends.fetch_add(1, std::memory_order_relaxed); }
 
 void EnableReceiveTimestamps(int fd) {
   int on = 1;

@@ -52,6 +52,12 @@ struct UdpIoSnapshot {
   uint64_t recv_datagrams = 0;
   uint64_t send_syscalls = 0;
   uint64_t send_datagrams = 0;
+  // Of the counts above, the blocking client exchange's share
+  // (UdpTransport): one datagram per syscall, so they subtract from both
+  // the syscall and the datagram counts when only the serving side is
+  // wanted.
+  uint64_t exchange_recv_syscalls = 0;
+  uint64_t exchange_send_syscalls = 0;
 };
 UdpIoSnapshot SnapshotUdpIoCounters();
 // One successful single-shot datagram syscall (recvfrom/recvmsg/recv or
@@ -60,6 +66,10 @@ UdpIoSnapshot SnapshotUdpIoCounters();
 // here so the counters see all of the traffic.
 void CountUdpRecv();
 void CountUdpSend();
+// The same, for the blocking client exchange; also counted in the
+// exchange_* fields.
+void CountUdpExchangeRecv();
+void CountUdpExchangeSend();
 
 // Asks the kernel to stamp each datagram `fd` receives with its arrival
 // time (SO_TIMESTAMPNS). Best effort: without it UdpFrame::rx_realtime_ns

@@ -82,9 +82,8 @@ struct Reactor::Endpoint {
 // arena, run through their handlers, and the replies leave before the
 // worker reads again.
 struct Reactor::WorkerScratch {
-  std::unique_ptr<UdpRecvBatch> batch;   // udp_batch > 1, serial endpoints
-  std::unique_ptr<UdpRecvBatch> single;  // udp_batch > 1, concurrent endpoints
-  std::vector<uint8_t> buffer;           // udp_batch == 1 (single-shot)
+  std::unique_ptr<UdpRecvBatch> batch;  // serial endpoints, udp_batch > 1
+  std::vector<uint8_t> buffer;          // concurrent endpoints, or udp_batch == 1
   std::vector<UdpReply> replies;
 };
 
@@ -602,7 +601,11 @@ uint32_t Reactor::UdpInterest(const Endpoint& endpoint) {
 }
 
 void Reactor::ServeUdpReady(Endpoint* endpoint, WorkerScratch& scratch) {
-  if (udp_batch_ > 1) {
+  // A concurrent endpoint's worker takes one datagram per turn and hands
+  // the socket back: the rest stay queued for the other workers its
+  // readiness wakes, so a burst fans out across the pool instead of
+  // queueing behind one worker's handlers. One datagram needs no batch.
+  if (udp_batch_ > 1 && !endpoint->concurrent) {
     DrainUdpBatched(endpoint, scratch);
   } else {
     DrainUdp(endpoint, scratch);
@@ -670,22 +673,16 @@ void Reactor::DrainUdp(Endpoint* endpoint, WorkerScratch& scratch) {
       CountUdpSend();
     }
     if (endpoint->concurrent) {
-      return;  // see DrainUdpBatched
+      return;  // one turn taken (see ServeUdpReady)
     }
   }
 }
 
 void Reactor::DrainUdpBatched(Endpoint* endpoint, WorkerScratch& scratch) {
-  // A concurrent endpoint takes one datagram per turn and hands the socket
-  // back: the rest stay queued for the other workers its readiness wakes,
-  // so a burst fans out across the pool instead of queueing behind one
-  // worker's handlers.
-  std::unique_ptr<UdpRecvBatch>& owned = endpoint->concurrent ? scratch.single : scratch.batch;
-  if (owned == nullptr) {
-    owned = std::make_unique<UdpRecvBatch>(endpoint->concurrent ? 1 : udp_batch_,
-                                           udp_slot_bytes_);
+  if (scratch.batch == nullptr) {
+    scratch.batch = std::make_unique<UdpRecvBatch>(udp_batch_, udp_slot_bytes_);
   }
-  UdpRecvBatch& batch = *owned;
+  UdpRecvBatch& batch = *scratch.batch;
   // Debug builds stamp every view built over the batch arena with its
   // generation; a view that survives past the next Recv (which Resets the
   // arena) aborts on access instead of reading recycled bytes.
@@ -708,8 +705,8 @@ void Reactor::DrainUdpBatched(Endpoint* endpoint, WorkerScratch& scratch) {
       // UDP semantics: an unsendable reply is a drop, the client retries.
       CountDrop(endpoint, static_cast<uint64_t>(scratch.replies.size() - sent));
     }
-    if (endpoint->concurrent || count < batch.capacity()) {
-      return;  // one turn taken, or a short batch: the socket is drained
+    if (count < batch.capacity()) {
+      return;  // a short batch: the socket is drained
     }
   }
 }

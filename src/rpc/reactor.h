@@ -3,13 +3,14 @@
 // thread and a few workers — not one parked thread per socket.
 //
 // Who reads what. UDP endpoints live in an epoll set the workers wait on
-// themselves: the worker a datagram wakes reads the socket into its own
-// batch, runs the handlers inline, and sends the replies (one sendmmsg per
-// batch). A request therefore costs no hand-off between threads inside
-// the server. The loop thread multiplexes everything else: stream
-// listeners and connections (it parses frames and queues them for the
-// workers), plus the client-channel surface below (posted tasks, timers,
-// client fds).
+// themselves: the worker a datagram wakes reads the socket, runs the
+// handlers inline, and sends the replies — a serial endpoint's in batches
+// (one recvmmsg and one sendmmsg per batch), a concurrent endpoint's one
+// datagram per turn. A request therefore costs no hand-off between
+// threads inside the server. The loop thread multiplexes everything else:
+// stream listeners and connections (it parses frames and queues them for
+// the workers), plus the client-channel surface below (posted tasks,
+// timers, client fds).
 //
 // Concurrency model. The sim-era services behind these sockets (RpcServer
 // over World-touching handlers) are not thread-safe, and under
@@ -75,9 +76,11 @@ struct ReactorOptions {
   // loop thread, which is the async client engine's threading model; it
   // cannot serve UDP endpoints).
   int workers = 0;
-  // Datagrams moved per recvmmsg/sendmmsg on UDP endpoints. 0 = resolve
-  // from HCS_UDP_BATCH (default kDefaultUdpBatch); 1 = single-shot
-  // recvfrom/sendto, the seed-identical path. Clamped to kMaxUdpBatch.
+  // Datagrams moved per recvmmsg/sendmmsg on serial UDP endpoints. 0 =
+  // resolve from HCS_UDP_BATCH (default kDefaultUdpBatch); 1 = single-shot
+  // recvfrom/sendto, the seed-identical path. Clamped to kMaxUdpBatch. A
+  // concurrent endpoint's worker takes one datagram per turn with
+  // recvmsg/sendto whatever the batch size.
   int udp_batch = 0;
   // Bytes per received-datagram slot in a batch; 0 = 64 KiB (the UDP
   // maximum). Smaller slots trade truncation risk for a denser arena.
@@ -212,10 +215,11 @@ class Reactor {
   static uint32_t UdpInterest(const Endpoint& endpoint);
   // Drains the socket, then re-arms a serial endpoint's one-shot interest.
   void ServeUdpReady(Endpoint* endpoint, WorkerScratch& scratch);
-  // udp_batch == 1: recvmsg/sendto, one datagram at a time.
+  // recvmsg/sendto, one datagram at a time: concurrent endpoints (one per
+  // turn), and serial ones at udp_batch == 1.
   void DrainUdp(Endpoint* endpoint, WorkerScratch& scratch);
-  // udp_batch > 1: recvmmsg into the worker's batch, one SendReplies per
-  // batch.
+  // Serial endpoints at udp_batch > 1: recvmmsg into the worker's batch,
+  // one SendReplies per batch.
   void DrainUdpBatched(Endpoint* endpoint, WorkerScratch& scratch);
   // Filter + dispatch for one batched frame; the reply goes to `staged`.
   void ProcessUdpFrame(Endpoint* endpoint, UdpFrame& frame, std::vector<UdpReply>& staged);

@@ -36,6 +36,18 @@ struct AsyncChannelSpec {
   int default_timeout_ms = 2000;
 };
 
+// Says whether a received datagram answers the message just sent. A
+// datagram transport's socket can still hold a duplicate of an earlier
+// exchange's reply, or a late one; given a matcher, it drops what the
+// matcher rejects and keeps waiting.
+class ReplyMatcher {
+ public:
+  virtual bool Matches(const uint8_t* data, size_t size) const = 0;
+
+ protected:
+  ~ReplyMatcher() = default;
+};
+
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -53,6 +65,21 @@ class Transport {
                                             const std::string& to_host, uint16_t port,
                                             const Bytes& message, int64_t budget_ms) {
     (void)budget_ms;
+    return RoundTrip(from_host, to_host, port, message);
+  }
+
+  // The exchange the blocking client makes: RoundTripWithBudget for
+  // `budget_ms` > 0, RoundTrip otherwise, and only a reply `reply` accepts
+  // is returned. The base implementation has one reply per exchange and
+  // ignores the matcher.
+  HCS_NODISCARD virtual Result<Bytes> RoundTripMatching(const std::string& from_host,
+                                                        const std::string& to_host, uint16_t port,
+                                                        const Bytes& message, int64_t budget_ms,
+                                                        const ReplyMatcher& reply) {
+    (void)reply;
+    if (budget_ms > 0) {
+      return RoundTripWithBudget(from_host, to_host, port, message, budget_ms);
+    }
     return RoundTrip(from_host, to_host, port, message);
   }
 

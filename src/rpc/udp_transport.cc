@@ -13,6 +13,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
+#include "src/rpc/context.h"
 #include "src/rpc/control.h"
 #include "src/rpc/fault.h"
 #include "src/rpc/mmsg.h"
@@ -302,7 +303,7 @@ Result<Bytes> UdpTransport::RoundTrip(const std::string& from_host,
                                       const Bytes& message) {
   (void)from_host;
   (void)to_host;  // everything lives on 127.0.0.1
-  return Exchange(port, message, timeout_ms_);
+  return Exchange(port, message, timeout_ms_, nullptr);
 }
 
 Result<Bytes> UdpTransport::RoundTripWithBudget(const std::string& from_host,
@@ -311,7 +312,17 @@ Result<Bytes> UdpTransport::RoundTripWithBudget(const std::string& from_host,
   (void)from_host;
   (void)to_host;
   int64_t timeout = budget_ms > 0 ? std::min<int64_t>(budget_ms, timeout_ms_) : timeout_ms_;
-  return Exchange(port, message, timeout);
+  return Exchange(port, message, timeout, nullptr);
+}
+
+Result<Bytes> UdpTransport::RoundTripMatching(const std::string& from_host,
+                                              const std::string& to_host, uint16_t port,
+                                              const Bytes& message, int64_t budget_ms,
+                                              const ReplyMatcher& reply) {
+  (void)from_host;
+  (void)to_host;
+  int64_t timeout = budget_ms > 0 ? std::min<int64_t>(budget_ms, timeout_ms_) : timeout_ms_;
+  return Exchange(port, message, timeout, &reply);
 }
 
 namespace {
@@ -322,7 +333,9 @@ namespace {
 // is closed instead of reused — a reply that arrives after its exchange
 // gave up must never sit in the queue to be read as the answer to the next
 // call (the xid check upstream would reject it as kProtocolError, turning
-// an injected drop into the wrong failure kind).
+// an injected drop into the wrong failure kind). A stray that still gets
+// queued, such as a duplicate of an answered reply, is dropped by the
+// next exchange's ReplyMatcher.
 struct ClientSocket {
   int fd = -1;
   int64_t timeout_ms = 0;  // the SO_RCVTIMEO last set on `fd` (0: none yet)
@@ -330,6 +343,16 @@ struct ClientSocket {
     if (fd >= 0) {
       close(fd);
     }
+  }
+  void SetTimeout(int64_t ms) {
+    if (ms == timeout_ms) {
+      return;  // budgeted calls mostly repeat the same first-attempt budget
+    }
+    timeval tv{};
+    tv.tv_sec = ms / 1000;
+    tv.tv_usec = (ms % 1000) * 1000;
+    (void)setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    timeout_ms = ms;
   }
   void Abandon() {
     if (fd >= 0) {
@@ -342,7 +365,8 @@ struct ClientSocket {
 
 }  // namespace
 
-Result<Bytes> UdpTransport::Exchange(uint16_t port, const Bytes& message, int64_t timeout_ms) {
+Result<Bytes> UdpTransport::Exchange(uint16_t port, const Bytes& message, int64_t timeout_ms,
+                                     const ReplyMatcher* reply) {
   if (message.size() > kMaxDatagram) {
     return ResourceExhaustedError("message exceeds one datagram");
   }
@@ -357,15 +381,7 @@ Result<Bytes> UdpTransport::Exchange(uint16_t port, const Bytes& message, int64_
   if (timeout_ms < 1) {
     timeout_ms = 1;  // 0 would mean "block forever" to SO_RCVTIMEO
   }
-  if (timeout_ms != sock.timeout_ms) {
-    // Budgeted calls mostly repeat the same first-attempt budget, so the
-    // socket usually has the right timeout already.
-    timeval tv{};
-    tv.tv_sec = timeout_ms / 1000;
-    tv.tv_usec = (timeout_ms % 1000) * 1000;
-    (void)setsockopt(sock.fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sock.timeout_ms = timeout_ms;
-  }
+  sock.SetTimeout(timeout_ms);
 
   sockaddr_in addr = LoopbackAddress(port);
   if (sendto(sock.fd, message.data(), message.size(), 0, reinterpret_cast<sockaddr*>(&addr),
@@ -374,21 +390,35 @@ Result<Bytes> UdpTransport::Exchange(uint16_t port, const Bytes& message, int64_
     sock.Abandon();
     return UnavailableError(StrFormat("sendto(): %s", std::strerror(saved)));
   }
-  CountUdpSend();
+  CountUdpExchangeSend();
 
   thread_local std::vector<uint8_t> buffer(kMaxDatagram);
-  ssize_t n = recv(sock.fd, buffer.data(), buffer.size(), 0);
-  if (n < 0) {
-    int saved = errno;
-    sock.Abandon();
-    if (saved == EAGAIN || saved == EWOULDBLOCK) {
+  const int64_t deadline_ms = reply != nullptr ? SteadyNowMs() + timeout_ms : 0;
+  while (true) {
+    ssize_t n = recv(sock.fd, buffer.data(), buffer.size(), 0);
+    if (n < 0) {
+      int saved = errno;
+      sock.Abandon();
+      if (saved == EAGAIN || saved == EWOULDBLOCK) {
+        return TimeoutError(StrFormat("no response from 127.0.0.1:%u within %lld ms", port,
+                                      static_cast<long long>(timeout_ms)));
+      }
+      return UnavailableError(StrFormat("recv(): %s", std::strerror(saved)));
+    }
+    CountUdpExchangeRecv();
+    if (reply == nullptr || reply->Matches(buffer.data(), static_cast<size_t>(n))) {
+      return Bytes(buffer.begin(), buffer.begin() + n);
+    }
+    // A stray reply to an earlier exchange: drop it and wait out the rest
+    // of this exchange's timeout.
+    int64_t left_ms = deadline_ms - SteadyNowMs();
+    if (left_ms <= 0) {
+      sock.Abandon();
       return TimeoutError(StrFormat("no response from 127.0.0.1:%u within %lld ms", port,
                                     static_cast<long long>(timeout_ms)));
     }
-    return UnavailableError(StrFormat("recv(): %s", std::strerror(saved)));
+    sock.SetTimeout(left_ms);
   }
-  CountUdpRecv();
-  return Bytes(buffer.begin(), buffer.begin() + n);
 }
 
 }  // namespace hcs

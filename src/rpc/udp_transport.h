@@ -121,10 +121,12 @@ class UdpServerHost {
 // 127.0.0.1:`port` and waits for the response (per-call timeout), on the
 // calling thread, over a socket that thread keeps for its exchanges. Any
 // failed exchange closes that socket, so a reply that arrives after its
-// exchange gave up is never read as the next one's answer. RpcClient::Call
-// runs its datagram calls through here; CallAsync uses the async channel
-// below and the AsyncClientEngine instead. Both paths report their
-// syscalls to SnapshotUdpIoCounters().
+// exchange gave up is never read as the next one's answer, and
+// RoundTripMatching drops any stray reply that is still queued (a
+// duplicate of one that was answered). RpcClient::Call runs its datagram
+// calls through here; CallAsync uses the async channel below and the
+// AsyncClientEngine instead. Both paths report their syscalls to
+// SnapshotUdpIoCounters().
 class UdpTransport : public Transport {
  public:
   // `timeout_ms` bounds each exchange; expiry surfaces as kTimeout.
@@ -139,6 +141,14 @@ class UdpTransport : public Transport {
                                     uint16_t port, const Bytes& message,
                                     int64_t budget_ms) override;
 
+  // The blocking client's exchange: a datagram `reply` rejects (a
+  // duplicate or late reply to an earlier exchange on this thread's
+  // socket) is dropped, and the wait goes on within the same timeout.
+  HCS_NODISCARD Result<Bytes> RoundTripMatching(const std::string& from_host,
+                                                const std::string& to_host, uint16_t port,
+                                                const Bytes& message, int64_t budget_ms,
+                                                const ReplyMatcher& reply) override;
+
   bool SupportsBudget() const override { return true; }
 
   AsyncChannelSpec async_channel() const override {
@@ -146,7 +156,9 @@ class UdpTransport : public Transport {
   }
 
  private:
-  HCS_NODISCARD Result<Bytes> Exchange(uint16_t port, const Bytes& message, int64_t timeout_ms);
+  // `reply` null: the first datagram received is the answer.
+  HCS_NODISCARD Result<Bytes> Exchange(uint16_t port, const Bytes& message, int64_t timeout_ms,
+                                       const ReplyMatcher* reply);
 
   int timeout_ms_;
 };

@@ -802,6 +802,43 @@ TEST(AsyncClientTest, LateReplyToAnAbandonedAttemptIsNeverTheNextCallsAnswer) {
   EXPECT_EQ(*second, Bytes{2});
 }
 
+TEST(AsyncClientTest, DuplicateReplyAfterASuccessIsNeverTheNextCallsAnswer) {
+  RawUdpServer server([](int fd) {
+    RawRequest first;
+    RawRequest second;
+    if (!RecvRawCall(fd, &first)) {
+      return;
+    }
+    // The first call is answered twice: the duplicate sits in the client
+    // socket's queue once the first call has its answer.
+    SendRawEcho(fd, first);
+    SendRawEcho(fd, first);
+    if (!RecvRawCall(fd, &second)) {
+      return;
+    }
+    // A third copy lands while the second call waits, before its answer.
+    SendRawEcho(fd, first);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    SendRawEcho(fd, second);
+  });
+  ASSERT_GE(server.fd, 0);
+
+  UdpTransport transport(/*timeout_ms=*/2000);
+  RpcClient client(nullptr, "localclient", &transport);
+  HrpcBinding binding = UdpBinding(server.port, 7, ControlKind::kRaw);
+  Result<Bytes> first = client.Call(binding, 1, Bytes{1});
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(*first, Bytes{1});
+  RpcCallInfo info;
+  Result<Bytes> second =
+      client.Call(binding, 1, Bytes{2}, RequestContext::WithTimeout(3000), &info);
+  server.thread.join();
+  ASSERT_TRUE(second.ok()) << "a duplicate of the first reply was read as this call's answer: "
+                           << second.status();
+  EXPECT_EQ(*second, Bytes{2});
+  EXPECT_EQ(info.attempts, 1u) << "the strays are dropped within the attempt, not retried past";
+}
+
 // 1k futures across four contention classes — plain success, tight deadline
 // racing the reply, guaranteed timeout, and a final wave destroyed mid-
 // flight with the engine — each counting its OnComplete firings. Every

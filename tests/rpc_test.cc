@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -68,6 +69,24 @@ TEST_P(ControlProtocolTest, GarbageIsRejected) {
   const ControlProtocol& control = GetControlProtocol(GetParam());
   EXPECT_FALSE(control.DecodeCall(Bytes{0xde, 0xad}).ok());
   EXPECT_FALSE(control.DecodeReply(Bytes{}).ok());
+}
+
+TEST_P(ControlProtocolTest, PeekReplyXidAgreesWithTheDecoder) {
+  const ControlProtocol& control = GetControlProtocol(GetParam());
+  for (StatusCode status : {StatusCode::kOk, StatusCode::kNotFound}) {
+    RpcReplyMsg reply;
+    reply.xid = 0x12345;
+    reply.app_status = status;
+    reply.results = Bytes{7};
+    Bytes wire = control.EncodeReply(reply);
+    Result<RpcReplyMsg> decoded = control.DecodeReply(wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    std::optional<uint32_t> peeked = control.PeekReplyXid(wire.data(), wire.size());
+    ASSERT_TRUE(peeked.has_value());
+    EXPECT_EQ(*peeked, decoded->xid);
+  }
+  const uint8_t garbage[] = {0xde, 0xad};
+  EXPECT_FALSE(control.PeekReplyXid(garbage, sizeof(garbage)).has_value());
 }
 
 TEST_P(ControlProtocolTest, CallAndReplyAreNotInterchangeable) {
