@@ -172,7 +172,7 @@ void RunStampede() {
   std::atomic<int> server_hits{0};
   RpcServer server(ControlKind::kRaw, "slow-meta-bind");
   server.RegisterProcedure(kBindProgram, kBindProcQuery,
-                           [&server_hits](const Bytes& args) -> Result<Bytes> {
+                           [&server_hits](BytesView args) -> Result<Bytes> {
                              ++server_hits;
                              HCS_ASSIGN_OR_RETURN(BindQueryRequest request,
                                                   BindQueryRequest::Decode(args));

@@ -153,10 +153,10 @@ void RunRuntimeSweep() {
   PrintHeader("E1-R: service runtime sweep, thread-per-endpoint vs epoll reactor (wall-clock)");
 
   RpcServer server(ControlKind::kRaw, "findnsm-like");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> {
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> {
     // The warm remote-NSM exchange: ~1 ms of downstream wait.
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    return args;
+    return args.ToBytes();
   });
 
   const std::vector<int> kClients = {1, 2, 4, 8, 16};

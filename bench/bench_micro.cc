@@ -1,19 +1,49 @@
 // Real-time microbenchmarks (google-benchmark): the wire formats, the HNS
-// cache data structure, the event queue, and zone lookups. These measure
-// the *implementation's* wall-clock performance — the paper's tables are
-// regenerated by the bench_table*/bench_* harnesses on the virtual clock.
+// cache data structure, the event queue, zone lookups, and the remote NSM
+// query hop's codec chain. These measure the *implementation's* wall-clock
+// performance — the paper's tables are regenerated by the bench_table*/
+// bench_* harnesses on the virtual clock.
 
 #include <benchmark/benchmark.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "src/bindns/record.h"
 #include "src/bindns/zone.h"
 #include "src/common/rand.h"
 #include "src/hns/cache.h"
+#include "src/hns/wire_protocol.h"
+#include "src/rpc/control.h"
 #include "src/sim/event_queue.h"
 #include "src/wire/courier.h"
 #include "src/wire/idl.h"
 #include "src/wire/value.h"
 #include "src/wire/xdr.h"
+
+// Heap allocations, counted process-wide so a benchmark can report its
+// allocations per iteration.
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+// GCC pairs free() with malloc() only; here operator new is malloc-backed.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace hcs {
 namespace {
@@ -68,6 +98,59 @@ void BM_WireValueRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WireValueRoundTrip)->Arg(2)->Arg(10)->Arg(50);
+
+// The remote NSM query hop's codec work on one thread, in the order a warm
+// remote resolution does it: the client encodes the request envelope and
+// the call around it; the server decodes the call in place and the
+// envelope from the arrival view, and encodes the reply around the NSM's
+// result (a binding record); the client decodes the reply in place, copies
+// the results out once, and decodes them. The call and reply buffers are
+// reused across iterations as the transports reuse theirs. Arg: the
+// control protocol (0 Sun RPC, 1 Courier, 2 Raw — the NSM default).
+void BM_NsmQueryHopCodec(benchmark::State& state) {
+  const ControlProtocol& control = GetControlProtocol(static_cast<ControlKind>(state.range(0)));
+  HnsName name;
+  name.context = "HRPCBinding-BIND";
+  name.individual = "fiji.cs.washington.edu";
+  const WireValue args = RecordBuilder().Str("service", "nfs").Build();
+  HrpcBinding binding;
+  binding.service_name = "nfs";
+  binding.host = "fiji.cs.washington.edu";
+  binding.address = 0x0a000105;
+  binding.port = 2049;
+  binding.program = 100003;
+  const WireValue result = binding.ToWire();
+  Bytes call_wire;
+  Bytes reply_wire;
+  uint32_t xid = 1;
+  const uint64_t allocations_before = g_allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    const Bytes body = NsmQueryRequest::Encode(name, args);
+    RpcCallView call;
+    call.xid = xid++;
+    call.program = 300001;
+    call.procedure = 1;
+    call.args = BytesView(body);
+    control.EncodeCallTo(call, &call_wire);
+
+    Result<RpcCallView> arrived = control.DecodeCallView(call_wire.data(), call_wire.size());
+    Result<NsmQueryRequest> request = NsmQueryRequest::Decode(arrived->args);
+    benchmark::DoNotOptimize(request->name.individual.data());
+    RpcReplyMsg reply;
+    reply.xid = arrived->xid;
+    reply.results = result.Encode();
+    control.EncodeReplyTo(reply, &reply_wire);
+
+    Result<RpcReplyView> answer = control.DecodeReplyView(reply_wire.data(), reply_wire.size());
+    const Bytes results = answer->results.ToBytes();
+    Result<WireValue> value = WireValue::Decode(results);
+    benchmark::DoNotOptimize(value->kind());
+  }
+  state.counters["allocs_per_iter"] = benchmark::Counter(
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) - allocations_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_NsmQueryHopCodec)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_HnsCacheHit(benchmark::State& state) {
   CacheMode mode = state.range(0) == 0 ? CacheMode::kMarshalled : CacheMode::kDemarshalled;

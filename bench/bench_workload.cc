@@ -228,12 +228,12 @@ void RunRuntimeSweep() {
 
   std::atomic<uint64_t> sequence{0};
   RpcServer server(ControlKind::kRaw, "workload-like");
-  server.RegisterProcedure(7, 1, [&sequence](const Bytes& args) -> Result<Bytes> {
+  server.RegisterProcedure(7, 1, [&sequence](BytesView args) -> Result<Bytes> {
     uint64_t n = sequence.fetch_add(1, std::memory_order_relaxed);
     // 1 in 10 requests is a cache miss paying the remote fetch.
     std::this_thread::sleep_for(n % 10 == 0 ? std::chrono::microseconds(2000)
                                             : std::chrono::microseconds(200));
-    return args;
+    return args.ToBytes();
   });
 
   const std::vector<int> kClients = {1, 4, 8, 16};

@@ -45,7 +45,7 @@ Result<Bytes> NfsLiteServer::GetFile(const std::string& path) const {
 
 void NfsLiteServer::RegisterHandlers() {
   rpc_server_.RegisterProcedure(
-      kNfsLiteProgram, kNfsProcLookup, [this](const Bytes& args) -> Result<Bytes> {
+      kNfsLiteProgram, kNfsProcLookup, [this](BytesView args) -> Result<Bytes> {
         world_->ChargeMs(4.0);  // directory walk
         XdrDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(std::string path, dec.GetString());
@@ -60,7 +60,7 @@ void NfsLiteServer::RegisterHandlers() {
       });
 
   rpc_server_.RegisterProcedure(
-      kNfsLiteProgram, kNfsProcRead, [this](const Bytes& args) -> Result<Bytes> {
+      kNfsLiteProgram, kNfsProcRead, [this](BytesView args) -> Result<Bytes> {
         XdrDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(uint32_t handle, dec.GetUint32());
         HCS_ASSIGN_OR_RETURN(uint32_t offset, dec.GetUint32());
@@ -84,7 +84,7 @@ void NfsLiteServer::RegisterHandlers() {
       });
 
   rpc_server_.RegisterProcedure(
-      kNfsLiteProgram, kNfsProcWrite, [this](const Bytes& args) -> Result<Bytes> {
+      kNfsLiteProgram, kNfsProcWrite, [this](BytesView args) -> Result<Bytes> {
         XdrDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(uint32_t handle, dec.GetUint32());
         HCS_ASSIGN_OR_RETURN(uint32_t offset, dec.GetUint32());
@@ -108,7 +108,7 @@ void NfsLiteServer::RegisterHandlers() {
       });
 
   rpc_server_.RegisterProcedure(
-      kNfsLiteProgram, kNfsProcCreate, [this](const Bytes& args) -> Result<Bytes> {
+      kNfsLiteProgram, kNfsProcCreate, [this](BytesView args) -> Result<Bytes> {
         world_->ChargeMs(5.0);
         XdrDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(std::string path, dec.GetString());
@@ -168,7 +168,7 @@ Status XdeFileServer::Authenticate(const std::string& user, const std::string& p
 
 void XdeFileServer::RegisterHandlers() {
   rpc_server_.RegisterProcedure(
-      kXdeFilingProgram, kXdeProcRetrieve, [this](const Bytes& args) -> Result<Bytes> {
+      kXdeFilingProgram, kXdeProcRetrieve, [this](BytesView args) -> Result<Bytes> {
         CourierDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(std::string user, dec.GetString());
         HCS_ASSIGN_OR_RETURN(std::string password, dec.GetString());
@@ -187,7 +187,7 @@ void XdeFileServer::RegisterHandlers() {
       });
 
   rpc_server_.RegisterProcedure(
-      kXdeFilingProgram, kXdeProcStore, [this](const Bytes& args) -> Result<Bytes> {
+      kXdeFilingProgram, kXdeProcStore, [this](BytesView args) -> Result<Bytes> {
         CourierDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(std::string user, dec.GetString());
         HCS_ASSIGN_OR_RETURN(std::string password, dec.GetString());
@@ -201,7 +201,7 @@ void XdeFileServer::RegisterHandlers() {
       });
 
   rpc_server_.RegisterProcedure(
-      kXdeFilingProgram, kXdeProcEnumerate, [this](const Bytes& args) -> Result<Bytes> {
+      kXdeFilingProgram, kXdeProcEnumerate, [this](BytesView args) -> Result<Bytes> {
         CourierDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(std::string user, dec.GetString());
         HCS_ASSIGN_OR_RETURN(std::string password, dec.GetString());

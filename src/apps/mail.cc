@@ -28,7 +28,7 @@ Result<MailDropServer*> MailDropServer::InstallOn(World* world, const std::strin
 }
 
 Result<std::pair<std::string, std::string>> MailDropServer::DecodeDeliver(
-    const Bytes& args) const {
+    BytesView args) const {
   if (control_ == ControlKind::kCourier) {
     CourierDecoder dec(args);
     HCS_ASSIGN_OR_RETURN(std::string recipient, dec.GetString());
@@ -41,7 +41,7 @@ Result<std::pair<std::string, std::string>> MailDropServer::DecodeDeliver(
   return std::make_pair(std::move(recipient), std::move(message));
 }
 
-Result<std::string> MailDropServer::DecodeRecipient(const Bytes& args) const {
+Result<std::string> MailDropServer::DecodeRecipient(BytesView args) const {
   if (control_ == ControlKind::kCourier) {
     CourierDecoder dec(args);
     return dec.GetString();
@@ -52,7 +52,7 @@ Result<std::string> MailDropServer::DecodeRecipient(const Bytes& args) const {
 
 void MailDropServer::RegisterHandlers() {
   rpc_server_.RegisterProcedure(
-      kMailDropProgram, kMailProcDeliver, [this](const Bytes& args) -> Result<Bytes> {
+      kMailDropProgram, kMailProcDeliver, [this](BytesView args) -> Result<Bytes> {
         HCS_ASSIGN_OR_RETURN(auto delivery, DecodeDeliver(args));
         // Spool write to disk.
         world_->ChargeMs(6.0 + static_cast<double>(delivery.second.size()) / 1024.0);
@@ -61,7 +61,7 @@ void MailDropServer::RegisterHandlers() {
       });
 
   rpc_server_.RegisterProcedure(
-      kMailDropProgram, kMailProcList, [this](const Bytes& args) -> Result<Bytes> {
+      kMailDropProgram, kMailProcList, [this](BytesView args) -> Result<Bytes> {
         HCS_ASSIGN_OR_RETURN(std::string recipient, DecodeRecipient(args));
         world_->ChargeMs(2.0);
         uint32_t count = 0;
@@ -80,7 +80,7 @@ void MailDropServer::RegisterHandlers() {
       });
 
   rpc_server_.RegisterProcedure(
-      kMailDropProgram, kMailProcFetch, [this](const Bytes& args) -> Result<Bytes> {
+      kMailDropProgram, kMailProcFetch, [this](BytesView args) -> Result<Bytes> {
         world_->ChargeMs(4.0);
         std::string recipient;
         uint32_t index = 0;

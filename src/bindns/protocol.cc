@@ -38,7 +38,7 @@ Bytes BindQueryRequest::Encode() const {
   return enc.Take();
 }
 
-Result<BindQueryRequest> BindQueryRequest::Decode(const Bytes& data) {
+Result<BindQueryRequest> BindQueryRequest::Decode(BytesView data) {
   XdrDecoder dec(data);
   BindQueryRequest req;
   HCS_ASSIGN_OR_RETURN(req.name, dec.GetString());
@@ -56,7 +56,7 @@ Bytes BindQueryResponse::Encode() const {
   return enc.Take();
 }
 
-Result<BindQueryResponse> BindQueryResponse::Decode(const Bytes& data) {
+Result<BindQueryResponse> BindQueryResponse::Decode(BytesView data) {
   XdrDecoder dec(data);
   BindQueryResponse resp;
   HCS_ASSIGN_OR_RETURN(uint32_t rcode, dec.GetUint32());
@@ -73,7 +73,7 @@ Bytes BindUpdateRequest::Encode() const {
   return enc.Take();
 }
 
-Result<BindUpdateRequest> BindUpdateRequest::Decode(const Bytes& data) {
+Result<BindUpdateRequest> BindUpdateRequest::Decode(BytesView data) {
   XdrDecoder dec(data);
   BindUpdateRequest req;
   HCS_ASSIGN_OR_RETURN(uint32_t op, dec.GetUint32());
@@ -91,7 +91,7 @@ Bytes BindUpdateResponse::Encode() const {
   return enc.Take();
 }
 
-Result<BindUpdateResponse> BindUpdateResponse::Decode(const Bytes& data) {
+Result<BindUpdateResponse> BindUpdateResponse::Decode(BytesView data) {
   XdrDecoder dec(data);
   BindUpdateResponse resp;
   HCS_ASSIGN_OR_RETURN(uint32_t rcode, dec.GetUint32());
@@ -105,7 +105,7 @@ Bytes BindInvalidateRequest::Encode() const {
   return enc.Take();
 }
 
-Result<BindInvalidateRequest> BindInvalidateRequest::Decode(const Bytes& data) {
+Result<BindInvalidateRequest> BindInvalidateRequest::Decode(BytesView data) {
   XdrDecoder dec(data);
   BindInvalidateRequest req;
   HCS_ASSIGN_OR_RETURN(req.name, dec.GetString());
@@ -118,7 +118,7 @@ Bytes BindAxfrRequest::Encode() const {
   return enc.Take();
 }
 
-Result<BindAxfrRequest> BindAxfrRequest::Decode(const Bytes& data) {
+Result<BindAxfrRequest> BindAxfrRequest::Decode(BytesView data) {
   XdrDecoder dec(data);
   BindAxfrRequest req;
   HCS_ASSIGN_OR_RETURN(req.origin, dec.GetString());
@@ -133,7 +133,7 @@ Bytes BindAxfrResponse::Encode() const {
   return enc.Take();
 }
 
-Result<BindAxfrResponse> BindAxfrResponse::Decode(const Bytes& data) {
+Result<BindAxfrResponse> BindAxfrResponse::Decode(BytesView data) {
   XdrDecoder dec(data);
   BindAxfrResponse resp;
   HCS_ASSIGN_OR_RETURN(uint32_t rcode, dec.GetUint32());

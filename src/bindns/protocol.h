@@ -44,7 +44,7 @@ struct BindQueryRequest {
   bool recursion_desired = true;
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<BindQueryRequest> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<BindQueryRequest> Decode(BytesView data);
 };
 
 struct BindQueryResponse {
@@ -55,7 +55,7 @@ struct BindQueryResponse {
   bool authoritative = true;
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<BindQueryResponse> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<BindQueryResponse> Decode(BytesView data);
 };
 
 enum class UpdateOp : uint8_t {
@@ -69,14 +69,14 @@ struct BindUpdateRequest {
   ResourceRecord record;  // for kDelete only name/type are meaningful
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<BindUpdateRequest> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<BindUpdateRequest> Decode(BytesView data);
 };
 
 struct BindUpdateResponse {
   Rcode rcode = Rcode::kNoError;
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<BindUpdateResponse> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<BindUpdateResponse> Decode(BytesView data);
 };
 
 struct BindInvalidateRequest {
@@ -84,14 +84,14 @@ struct BindInvalidateRequest {
   std::string name;
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<BindInvalidateRequest> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<BindInvalidateRequest> Decode(BytesView data);
 };
 
 struct BindAxfrRequest {
   std::string origin;
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<BindAxfrRequest> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<BindAxfrRequest> Decode(BytesView data);
 };
 
 struct BindAxfrResponse {
@@ -100,7 +100,7 @@ struct BindAxfrResponse {
   std::vector<ResourceRecord> records;
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<BindAxfrResponse> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<BindAxfrResponse> Decode(BytesView data);
 };
 
 }  // namespace hcs

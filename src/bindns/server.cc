@@ -100,7 +100,7 @@ Zone* BindServer::FindZone(const std::string& name) {
 
 void BindServer::RegisterHandlers() {
   rpc_server_.RegisterProcedure(
-      kBindProgram, kBindProcQuery, [this](const Bytes& args) -> Result<Bytes> {
+      kBindProgram, kBindProcQuery, [this](BytesView args) -> Result<Bytes> {
         HCS_RETURN_IF_ERROR(ShedIfBudgetSpent("bind-query"));
         // Server-side demarshal of the request (standard BIND routines).
         ChargeDemarshal(world_, MarshalEngine::kHandCoded, 1);
@@ -112,7 +112,7 @@ void BindServer::RegisterHandlers() {
       });
 
   rpc_server_.RegisterProcedure(
-      kBindProgram, kBindProcUpdate, [this](const Bytes& args) -> Result<Bytes> {
+      kBindProgram, kBindProcUpdate, [this](BytesView args) -> Result<Bytes> {
         ChargeDemarshal(world_, MarshalEngine::kHandCoded, 1);
         HCS_ASSIGN_OR_RETURN(BindUpdateRequest request, BindUpdateRequest::Decode(args));
         HCS_ASSIGN_OR_RETURN(BindUpdateResponse response, UpdateLocal(request));
@@ -121,7 +121,7 @@ void BindServer::RegisterHandlers() {
       });
 
   rpc_server_.RegisterProcedure(
-      kBindProgram, kBindProcInvalidate, [this](const Bytes& args) -> Result<Bytes> {
+      kBindProgram, kBindProcInvalidate, [this](BytesView args) -> Result<Bytes> {
         HCS_ASSIGN_OR_RETURN(BindInvalidateRequest request,
                              BindInvalidateRequest::Decode(args));
         world_->ChargeMs(world_->costs().cache_probe_ms);
@@ -130,7 +130,7 @@ void BindServer::RegisterHandlers() {
       });
 
   rpc_server_.RegisterProcedure(
-      kBindProgram, kBindProcAxfr, [this](const Bytes& args) -> Result<Bytes> {
+      kBindProgram, kBindProcAxfr, [this](BytesView args) -> Result<Bytes> {
         ChargeDemarshal(world_, MarshalEngine::kHandCoded, 1);
         HCS_ASSIGN_OR_RETURN(BindAxfrRequest request, BindAxfrRequest::Decode(args));
         HCS_ASSIGN_OR_RETURN(BindAxfrResponse response, AxfrLocal(request));

@@ -27,7 +27,7 @@ void EncodeItem(CourierEncoder* enc, const WireValue& item) {
 }
 
 Result<WireValue> DecodeItem(CourierDecoder* dec) {
-  HCS_ASSIGN_OR_RETURN(Bytes body, dec->GetSequence());
+  HCS_ASSIGN_OR_RETURN(BytesView body, dec->GetSequenceView());
   return WireValue::Decode(body);
 }
 
@@ -53,7 +53,7 @@ Bytes ChRetrieveItemRequest::Encode() const {
   return enc.Take();
 }
 
-Result<ChRetrieveItemRequest> ChRetrieveItemRequest::Decode(const Bytes& data) {
+Result<ChRetrieveItemRequest> ChRetrieveItemRequest::Decode(BytesView data) {
   CourierDecoder dec(data);
   ChRetrieveItemRequest req;
   HCS_ASSIGN_OR_RETURN(req.credentials, ChCredentials::DecodeFrom(&dec));
@@ -69,7 +69,7 @@ Bytes ChRetrieveItemResponse::Encode() const {
   return enc.Take();
 }
 
-Result<ChRetrieveItemResponse> ChRetrieveItemResponse::Decode(const Bytes& data) {
+Result<ChRetrieveItemResponse> ChRetrieveItemResponse::Decode(BytesView data) {
   CourierDecoder dec(data);
   ChRetrieveItemResponse resp;
   HCS_ASSIGN_OR_RETURN(resp.distinguished_name, DecodeName(&dec));
@@ -86,7 +86,7 @@ Bytes ChAddItemRequest::Encode() const {
   return enc.Take();
 }
 
-Result<ChAddItemRequest> ChAddItemRequest::Decode(const Bytes& data) {
+Result<ChAddItemRequest> ChAddItemRequest::Decode(BytesView data) {
   CourierDecoder dec(data);
   ChAddItemRequest req;
   HCS_ASSIGN_OR_RETURN(req.credentials, ChCredentials::DecodeFrom(&dec));
@@ -104,7 +104,7 @@ Bytes ChDeleteItemRequest::Encode() const {
   return enc.Take();
 }
 
-Result<ChDeleteItemRequest> ChDeleteItemRequest::Decode(const Bytes& data) {
+Result<ChDeleteItemRequest> ChDeleteItemRequest::Decode(BytesView data) {
   CourierDecoder dec(data);
   ChDeleteItemRequest req;
   HCS_ASSIGN_OR_RETURN(req.credentials, ChCredentials::DecodeFrom(&dec));
@@ -121,7 +121,7 @@ Bytes ChListObjectsRequest::Encode() const {
   return enc.Take();
 }
 
-Result<ChListObjectsRequest> ChListObjectsRequest::Decode(const Bytes& data) {
+Result<ChListObjectsRequest> ChListObjectsRequest::Decode(BytesView data) {
   CourierDecoder dec(data);
   ChListObjectsRequest req;
   HCS_ASSIGN_OR_RETURN(req.credentials, ChCredentials::DecodeFrom(&dec));
@@ -139,7 +139,7 @@ Bytes ChListObjectsResponse::Encode() const {
   return enc.Take();
 }
 
-Result<ChListObjectsResponse> ChListObjectsResponse::Decode(const Bytes& data) {
+Result<ChListObjectsResponse> ChListObjectsResponse::Decode(BytesView data) {
   CourierDecoder dec(data);
   ChListObjectsResponse resp;
   HCS_ASSIGN_OR_RETURN(uint16_t n, dec.GetCardinal());

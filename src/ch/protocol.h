@@ -41,7 +41,7 @@ struct ChRetrieveItemRequest {
   uint32_t property = 0;
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<ChRetrieveItemRequest> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<ChRetrieveItemRequest> Decode(BytesView data);
 };
 
 struct ChRetrieveItemResponse {
@@ -51,7 +51,7 @@ struct ChRetrieveItemResponse {
   WireValue item;
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<ChRetrieveItemResponse> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<ChRetrieveItemResponse> Decode(BytesView data);
 };
 
 struct ChAddItemRequest {
@@ -61,7 +61,7 @@ struct ChAddItemRequest {
   WireValue item;
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<ChAddItemRequest> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<ChAddItemRequest> Decode(BytesView data);
 };
 
 struct ChDeleteItemRequest {
@@ -70,7 +70,7 @@ struct ChDeleteItemRequest {
   uint32_t property = 0;
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<ChDeleteItemRequest> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<ChDeleteItemRequest> Decode(BytesView data);
 };
 
 struct ChListObjectsRequest {
@@ -80,14 +80,14 @@ struct ChListObjectsRequest {
   std::string organization;
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<ChListObjectsRequest> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<ChListObjectsRequest> Decode(BytesView data);
 };
 
 struct ChListObjectsResponse {
   std::vector<std::string> objects;
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<ChListObjectsResponse> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<ChListObjectsResponse> Decode(BytesView data);
 };
 
 }  // namespace hcs

@@ -17,7 +17,7 @@ ChServer::ChServer(World* world, std::string host, ChServerOptions options)
   RegisterHandlers();
 }
 
-void ChServer::PropagateWrite(uint32_t procedure, const Bytes& body) {
+void ChServer::PropagateWrite(uint32_t procedure, BytesView body) {
   for (const std::string& replica : replica_hosts_) {
     HrpcBinding peer;
     peer.service_name = "clearinghouse";
@@ -165,7 +165,7 @@ Result<ChListObjectsResponse> ChServer::ListObjectsLocal(
 
 void ChServer::RegisterHandlers() {
   rpc_server_.RegisterProcedure(
-      kClearinghouseProgram, kChProcRetrieveItem, [this](const Bytes& args) -> Result<Bytes> {
+      kClearinghouseProgram, kChProcRetrieveItem, [this](BytesView args) -> Result<Bytes> {
         HCS_RETURN_IF_ERROR(ShedIfBudgetSpent("clearinghouse-retrieve"));
         HCS_ASSIGN_OR_RETURN(ChRetrieveItemRequest request,
                              ChRetrieveItemRequest::Decode(args));
@@ -174,7 +174,7 @@ void ChServer::RegisterHandlers() {
       });
 
   rpc_server_.RegisterProcedure(
-      kClearinghouseProgram, kChProcAddItem, [this](const Bytes& args) -> Result<Bytes> {
+      kClearinghouseProgram, kChProcAddItem, [this](BytesView args) -> Result<Bytes> {
         HCS_ASSIGN_OR_RETURN(ChAddItemRequest request, ChAddItemRequest::Decode(args));
         HCS_ASSIGN_OR_RETURN(ChRetrieveItemResponse response, AddItemLocal(request));
         PropagateWrite(kChProcAddItem, args);
@@ -182,7 +182,7 @@ void ChServer::RegisterHandlers() {
       });
 
   rpc_server_.RegisterProcedure(
-      kClearinghouseProgram, kChProcDeleteItem, [this](const Bytes& args) -> Result<Bytes> {
+      kClearinghouseProgram, kChProcDeleteItem, [this](BytesView args) -> Result<Bytes> {
         HCS_ASSIGN_OR_RETURN(ChDeleteItemRequest request, ChDeleteItemRequest::Decode(args));
         HCS_RETURN_IF_ERROR(DeleteItemLocal(request));
         PropagateWrite(kChProcDeleteItem, args);
@@ -190,7 +190,7 @@ void ChServer::RegisterHandlers() {
       });
 
   rpc_server_.RegisterProcedure(
-      kClearinghouseProgram, kChProcListObjects, [this](const Bytes& args) -> Result<Bytes> {
+      kClearinghouseProgram, kChProcListObjects, [this](BytesView args) -> Result<Bytes> {
         HCS_RETURN_IF_ERROR(ShedIfBudgetSpent("clearinghouse-list"));
         HCS_ASSIGN_OR_RETURN(ChListObjectsRequest request, ChListObjectsRequest::Decode(args));
         HCS_ASSIGN_OR_RETURN(ChListObjectsResponse response, ListObjectsLocal(request));

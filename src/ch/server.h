@@ -63,7 +63,7 @@ class ChServer {
   HCS_NODISCARD Status Authenticate(const ChCredentials& credentials);
   // Forwards a successful write to every replica (best effort: an
   // unreachable replica converges on its next write or administrative sync).
-  void PropagateWrite(uint32_t procedure, const Bytes& body);
+  void PropagateWrite(uint32_t procedure, BytesView body);
   // Resolves aliases to the distinguished name.
   ChName Canonicalize(const ChName& name) const;
 

@@ -87,7 +87,9 @@ void Arena::AddBlock(size_t min_size) {
   // mallocs, with the floor keeping tiny arenas out of the allocator.
   size_t size = std::max({min_size, capacity_, kMinBlock});
   Block block;
-  block.data = std::make_unique<uint8_t[]>(size);
+  // Not zero-filled: a block's pages are touched only as they are used (a
+  // receive batch's slots mostly never are) or poisoned below.
+  block.data = std::make_unique_for_overwrite<uint8_t[]>(size);
   block.size = size;
   capacity_ += size;
   blocks_.push_back(std::move(block));
@@ -120,18 +122,33 @@ uint8_t* Arena::Allocate(size_t n, size_t align) {
 }
 
 #if HCS_VIEW_DEBUG_ENABLED
-void Arena::Reset(std::source_location reset_site) {
-#else
-void Arena::Reset() {
-#endif
-  ++generation_;
-#if HCS_VIEW_DEBUG_ENABLED
+void Arena::RecordReset(const std::source_location& reset_site) {
   debug_.reset_file.store(reset_site.file_name(), std::memory_order_release);
   debug_.reset_line.store(reset_site.line(), std::memory_order_release);
   // The generation store publishes the kill: every stamped view born
   // before this line is dead from here on.
   debug_.generation.store(generation_, std::memory_order_release);
+}
+
+void Arena::Reset(std::source_location reset_site) {
+  ++generation_;
+  RecordReset(reset_site);
+  Recycle(/*poison=*/true);
+}
+
+void Arena::ResetRepoisoned(std::source_location reset_site) {
+  ++generation_;
+  RecordReset(reset_site);
+  Recycle(/*poison=*/false);
+}
+#else
+void Arena::Reset() {
+  ++generation_;
+  Recycle(/*poison=*/true);
+}
 #endif
+
+void Arena::Recycle(bool poison) {
   used_ = 0;
   if (blocks_.empty()) {
     return;
@@ -157,8 +174,10 @@ void Arena::Reset() {
   end_ = cur_ + blocks_.back().size;
   // Everything handed out since the last Reset is now free space again:
   // trap it (ASan) or scribble it (canary) so stale readers cannot see
-  // the old payload.
-  DebugPoisonSpan(cur_, blocks_.back().size);
+  // the old payload — unless the owner already did (ResetRepoisoned).
+  if (poison) {
+    DebugPoisonSpan(cur_, blocks_.back().size);
+  }
 }
 
 }  // namespace hcs

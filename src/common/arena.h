@@ -60,6 +60,19 @@ class Arena {
   void Reset();
 #endif
 
+  // Reset for an owner that has already re-poisoned every byte it wrote
+  // since the last Reset, and wrote nowhere else: everything else it was
+  // handed still holds the poison laid down when the block was added (or
+  // by the owner itself), so the arena skips poisoning the whole span
+  // again. UdpRecvBatch knows which bytes the kernel filled; with this its
+  // debug cost per Recv follows the bytes received, not the batch's
+  // capacity. The generation bump and reset-site record are Reset's.
+#if HCS_VIEW_DEBUG_ENABLED
+  void ResetRepoisoned(std::source_location reset_site = std::source_location::current());
+#else
+  void ResetRepoisoned() { Reset(); }
+#endif
+
   // Number of Resets so far. A view into this arena is valid only while
   // the generation it was born under is still current.
   uint64_t generation() const { return generation_; }
@@ -79,6 +92,11 @@ class Arena {
 
   // Appends a block of at least `min_size` bytes and makes it current.
   void AddBlock(size_t min_size);
+  // Reset's body; `poison` false for ResetRepoisoned.
+  void Recycle(bool poison);
+#if HCS_VIEW_DEBUG_ENABLED
+  void RecordReset(const std::source_location& reset_site);
+#endif
 
   std::vector<Block> blocks_;
   uint8_t* cur_ = nullptr;   // bump pointer within blocks_.back()

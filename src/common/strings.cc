@@ -35,11 +35,16 @@ std::string StrJoin(const std::vector<std::string>& parts, std::string_view sep)
 }
 
 std::string AsciiToLower(std::string_view input) {
-  std::string out(input);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
+  std::string out;
+  AppendAsciiLower(&out, input);
   return out;
+}
+
+void AppendAsciiLower(std::string* out, std::string_view input) {
+  out->reserve(out->size() + input.size());
+  for (char c : input) {
+    out->push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+  }
 }
 
 bool StartsWith(std::string_view s, std::string_view prefix) {

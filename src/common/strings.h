@@ -24,6 +24,8 @@ std::string StrJoin(const std::vector<std::string>& parts, std::string_view sep)
 // ASCII-only case folding (name services in this tree are case-insensitive
 // in the DNS tradition).
 std::string AsciiToLower(std::string_view input);
+// Appends `input` to `*out`, case-folded the same way, with no temporary.
+void AppendAsciiLower(std::string* out, std::string_view input);
 
 // True when `s` starts with / ends with the given affix.
 bool StartsWith(std::string_view s, std::string_view prefix);

@@ -5,6 +5,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
+#include "src/hns/wire_protocol.h"
 
 namespace hcs {
 
@@ -55,8 +56,8 @@ Result<NsmHandle> Hns::FindNsm(const HnsName& name, const QueryClass& query_clas
   if (options_.composite_cache) {
     if (std::optional<CompositeEntry> hit = composite_.Get(name.context, query_class)) {
       NsmHandle handle;
-      handle.nsm_name = hit->nsm_name;
       handle.linked = LinkedNsm(hit->nsm_name);
+      handle.nsm_name = std::move(hit->nsm_name);
       handle.binding = std::move(hit->binding);
       return handle;
     }
@@ -228,14 +229,11 @@ Result<uint32_t> Hns::ResolveHostAddressAtDepth(const std::string& host_context,
   binding.control = info.control;
 
   // Remote NSM query protocol (see NsmServer): context, individual, args.
-  XdrEncoder enc;
-  enc.PutString(host_name.context);
-  enc.PutString(host_name.individual);
-  enc.PutFixedOpaque(no_args.Encode());
+  const Bytes body = NsmQueryRequest::Encode(host_name, no_args);
   if (world_ != nullptr) {
     ChargeMarshal(world_, MarshalEngine::kStubGenerated, 1);
   }
-  HCS_ASSIGN_OR_RETURN(Bytes reply, rpc_client_.Call(binding, 1, enc.Take(), context));
+  HCS_ASSIGN_OR_RETURN(Bytes reply, rpc_client_.Call(binding, kNsmProcQuery, body, context));
   HCS_ASSIGN_OR_RETURN(WireValue result, WireValue::Decode(reply));
   if (world_ != nullptr) {
     ChargeDemarshal(world_, MarshalEngine::kStubGenerated, MarshalUnits(result));

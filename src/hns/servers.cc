@@ -15,7 +15,7 @@ NsmServer::NsmServer(World* world, std::shared_ptr<Nsm> nsm)
       nsm_(std::move(nsm)),
       rpc_server_(nsm_->info().control, "nsm:" + nsm_->info().nsm_name) {
   rpc_server_.RegisterProcedure(
-      nsm_->info().program, kNsmProcQuery, [this](const Bytes& args) -> Result<Bytes> {
+      nsm_->info().program, kNsmProcQuery, [this](BytesView args) -> Result<Bytes> {
         // Server-side stub demarshals the envelope.
         ChargeDemarshal(world_, MarshalEngine::kStubGenerated,
                         MarshalUnitsForBytes(args.size()));
@@ -23,8 +23,9 @@ NsmServer::NsmServer(World* world, std::shared_ptr<Nsm> nsm)
         // The decoded context is ambient (installed by RpcServer); the NSM's
         // own CheckBudget sees it, so no explicit pass is needed here.
         HCS_ASSIGN_OR_RETURN(WireValue result, nsm_->Query(request.name, request.args));
-        ChargeMarshal(world_, MarshalEngine::kStubGenerated, MarshalUnits(result));
-        return result.Encode();
+        Bytes body = result.Encode();
+        ChargeMarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(body.size()));
+        return body;
       });
 }
 
@@ -50,7 +51,7 @@ HnsServer::HnsServer(World* world, const std::string& host, HnsOptions options)
       hns_(std::make_unique<Hns>(world, host, &transport_, options)),
       rpc_server_(ControlKind::kRaw, "hns@" + host) {
   rpc_server_.RegisterProcedure(
-      kHnsProgram, kHnsProcFindNsm, [this](const Bytes& args) -> Result<Bytes> {
+      kHnsProgram, kHnsProcFindNsm, [this](BytesView args) -> Result<Bytes> {
         ChargeDemarshal(world_, MarshalEngine::kStubGenerated,
                         MarshalUnitsForBytes(args.size()));
         HCS_ASSIGN_OR_RETURN(FindNsmRequest request, FindNsmRequest::Decode(args));
@@ -89,7 +90,7 @@ AgentServer::AgentServer(World* world, const std::string& host, HnsOptions optio
       hns_(std::make_unique<Hns>(world, host, &transport_, options)),
       rpc_server_(ControlKind::kRaw, "hns-agent@" + host) {
   rpc_server_.RegisterProcedure(
-      kAgentProgram, kAgentProcQuery, [this](const Bytes& args) -> Result<Bytes> {
+      kAgentProgram, kAgentProcQuery, [this](BytesView args) -> Result<Bytes> {
         ChargeDemarshal(world_, MarshalEngine::kStubGenerated,
                         MarshalUnitsForBytes(args.size()));
         HCS_ASSIGN_OR_RETURN(AgentQueryRequest request, AgentQueryRequest::Decode(args));
@@ -100,8 +101,9 @@ AgentServer::AgentServer(World* world, const std::string& host, HnsOptions optio
         }
         HCS_ASSIGN_OR_RETURN(WireValue result,
                              handle.linked->Query(request.name, request.args));
-        ChargeMarshal(world_, MarshalEngine::kStubGenerated, MarshalUnits(result));
-        return result.Encode();
+        Bytes body = result.Encode();
+        ChargeMarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(body.size()));
+        return body;
       });
 }
 

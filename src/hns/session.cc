@@ -156,11 +156,7 @@ Result<NsmHandle> HnsSession::FindNsmRemote(const HnsName& name,
 Result<WireValue> HnsSession::CallNsmRemote(const HrpcBinding& binding, const HnsName& name,
                                             const WireValue& args,
                                             const RequestContext& context) {
-  NsmQueryRequest request;
-  request.name = name;
-  request.args = args;
-
-  Bytes body = request.Encode();
+  Bytes body = NsmQueryRequest::Encode(name, args);
   if (world_ != nullptr) {
     ChargeMarshal(world_, MarshalEngine::kStubGenerated, MarshalUnitsForBytes(body.size()));
   }

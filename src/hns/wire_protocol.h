@@ -27,8 +27,11 @@ struct NsmQueryRequest {
   HnsName name;
   WireValue args;
 
-  Bytes Encode() const;
-  HCS_NODISCARD static Result<NsmQueryRequest> Decode(const Bytes& data);
+  Bytes Encode() const { return Encode(name, args); }
+  // The same envelope for a name and args the caller already holds, so a
+  // client encodes them without copying them into a request first.
+  static Bytes Encode(const HnsName& name, const WireValue& args);
+  HCS_NODISCARD static Result<NsmQueryRequest> Decode(BytesView data);
 };
 // The NSM reply body is a bare encoded WireValue.
 
@@ -38,7 +41,7 @@ struct FindNsmRequest {
   QueryClass query_class;
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<FindNsmRequest> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<FindNsmRequest> Decode(BytesView data);
 };
 
 struct FindNsmResponse {
@@ -46,7 +49,7 @@ struct FindNsmResponse {
   HrpcBinding binding;
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<FindNsmResponse> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<FindNsmResponse> Decode(BytesView data);
 };
 
 // --- Agent (colocated HNS + NSMs behind one remote interface) ---------------
@@ -56,7 +59,7 @@ struct AgentQueryRequest {
   WireValue args;
 
   Bytes Encode() const;
-  HCS_NODISCARD static Result<AgentQueryRequest> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<AgentQueryRequest> Decode(BytesView data);
 };
 // The agent reply body is a bare encoded WireValue (the NSM's result).
 

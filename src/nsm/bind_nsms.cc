@@ -65,7 +65,7 @@ Result<WireValue> BindHostAddressNsm::Query(const HnsName& name, const WireValue
   (void)args;
   // Individual name -> local name: identity for BIND systems.
   const std::string& local_name = name.individual;
-  std::string key = "ha|" + AsciiToLower(local_name);
+  std::string key = NsmCacheKey("ha", local_name);
 
   Result<WireValue> cached = cache_.Get(key);
   if (cached.ok()) {
@@ -96,7 +96,7 @@ Result<WireValue> BindBindingNsm::Query(const HnsName& name, const WireValue& ar
   HCS_RETURN_IF_ERROR(CheckBudget("BindBindingNsm"));
   HCS_ASSIGN_OR_RETURN(std::string service, args.StringField("service"));
   const std::string& host = name.individual;
-  std::string key = "bind|" + AsciiToLower(host) + "|" + AsciiToLower(service);
+  std::string key = NsmCacheKey("bind", host, service);
 
   Result<WireValue> cached = cache_.Get(key);
   if (cached.ok()) {
@@ -154,7 +154,7 @@ Result<WireValue> BindMailboxNsm::Query(const HnsName& name, const WireValue& ar
   HCS_RETURN_IF_ERROR(CheckBudget("BindMailboxNsm"));
   (void)args;
   const std::string& domain = name.individual;
-  std::string key = "mx|" + AsciiToLower(domain);
+  std::string key = NsmCacheKey("mx", domain);
 
   Result<WireValue> cached = cache_.Get(key);
   if (cached.ok()) {

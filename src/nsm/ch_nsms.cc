@@ -20,7 +20,7 @@ Result<WireValue> ChHostAddressNsm::Query(const HnsName& name, const WireValue& 
   (void)args;
   // Individual name -> local name: the native three-part Clearinghouse name.
   HCS_ASSIGN_OR_RETURN(ChName local_name, ChName::Parse(name.individual));
-  std::string key = "ha|" + AsciiToLower(local_name.ToString());
+  std::string key = NsmCacheKey("ha", local_name.ToString());
 
   Result<WireValue> cached = cache_.Get(key);
   if (cached.ok()) {
@@ -53,8 +53,7 @@ Result<WireValue> ChBindingNsm::Query(const HnsName& name, const WireValue& args
   HCS_RETURN_IF_ERROR(CheckBudget("ChBindingNsm"));
   HCS_ASSIGN_OR_RETURN(std::string service, args.StringField("service"));
   HCS_ASSIGN_OR_RETURN(ChName local_name, ChName::Parse(name.individual));
-  std::string key =
-      "ch|" + AsciiToLower(local_name.ToString()) + "|" + AsciiToLower(service);
+  std::string key = NsmCacheKey("ch", local_name.ToString(), service);
 
   Result<WireValue> cached = cache_.Get(key);
   if (cached.ok()) {
@@ -110,7 +109,7 @@ Result<WireValue> ChMailboxNsm::Query(const HnsName& name, const WireValue& args
   HCS_RETURN_IF_ERROR(CheckBudget("ChMailboxNsm"));
   (void)args;
   HCS_ASSIGN_OR_RETURN(ChName local_name, ChName::Parse(name.individual));
-  std::string key = "mb|" + AsciiToLower(local_name.ToString());
+  std::string key = NsmCacheKey("mb", local_name.ToString());
 
   Result<WireValue> cached = cache_.Get(key);
   if (cached.ok()) {

@@ -12,8 +12,10 @@
 #define HCS_SRC_NSM_NSM_BASE_H_
 
 #include <string>
+#include <string_view>
 #include <utility>
 
+#include "src/common/strings.h"
 #include "src/hns/cache.h"
 #include "src/hns/nsm_interface.h"
 #include "src/rpc/client.h"
@@ -22,6 +24,26 @@
 #include "src/sim/world.h"
 
 namespace hcs {
+
+// An NSM cache key, "<tag>|<part>[|<second>]" with the parts case-folded,
+// built in one allocation: a warm query computes one per hit.
+inline std::string NsmCacheKey(std::string_view tag, std::string_view part) {
+  std::string key;
+  key.reserve(tag.size() + 1 + part.size());
+  key.append(tag).push_back('|');
+  AppendAsciiLower(&key, part);
+  return key;
+}
+inline std::string NsmCacheKey(std::string_view tag, std::string_view part,
+                               std::string_view second) {
+  std::string key;
+  key.reserve(tag.size() + part.size() + second.size() + 2);
+  key.append(tag).push_back('|');
+  AppendAsciiLower(&key, part);
+  key.push_back('|');
+  AppendAsciiLower(&key, second);
+  return key;
+}
 
 class NsmBase : public Nsm {
  public:

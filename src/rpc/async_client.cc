@@ -411,12 +411,12 @@ void AsyncClientEngine::EncodeAttempt(PendingCall* call) {
     call->wire = std::move(wire_pool_.back());  // encoder clears before use
     wire_pool_.pop_back();
   }
-  RpcCall rpc;
+  RpcCallView rpc;
   rpc.xid = call->xid;
   rpc.program = call->spec.binding.program;
   rpc.version = call->spec.binding.version;
   rpc.procedure = call->spec.procedure;
-  rpc.args = call->spec.args;
+  rpc.args = BytesView(call->spec.args);  // encoded straight from the spec, no copy per try
   rpc.context = call->spec.context;
   rpc.context.attempt = call->spec.context.attempt + call->attempt;  // re-marshalled per try
   call->control->EncodeCallTo(rpc, &call->wire);
@@ -438,9 +438,6 @@ Status AsyncClientEngine::EnsureUdpChannel() {
     return added;
   }
   udp_fd_ = fd;
-  // Full-width receive batch: a pipelining client drains a window of
-  // replies per wake, so the deepest batch the wrappers allow pays off.
-  udp_rx_ = std::make_unique<UdpRecvBatch>(kMaxUdpBatch, kMaxDatagram);
   return Status::Ok();
 }
 
@@ -499,6 +496,15 @@ void AsyncClientEngine::FlushUdpOutbox() {
     // UDP semantics: the shortfall is a drop; each affected call's attempt
     // timer fires and the retry loop re-sends.
     stat_udp_send_drops_.fetch_add(batch.size() - sent, std::memory_order_relaxed);
+  }
+  if (udp_rx_ == nullptr) {
+    // Full-width receive batch: a pipelining client drains a window of
+    // replies per wake, so the deepest batch the wrappers allow pays off.
+    // Built after the first flush, on this loop thread and so before any
+    // OnUdpReadable: the first datagrams travel while its 4 MiB is set up
+    // (a sanitizer build's debug poisoning of it outlasts a loopback round
+    // trip).
+    udp_rx_ = std::make_unique<UdpRecvBatch>(kMaxUdpBatch, kMaxDatagram);
   }
   constexpr size_t kWirePoolCap = 256;
   for (UdpReply& reply : batch) {

@@ -118,7 +118,7 @@ uint32_t RetryPolicy::MaxAttempts(int64_t budget_ms) {
   return attempts;
 }
 
-Result<Bytes> RpcClient::Call(const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
+Result<Bytes> RpcClient::Call(const HrpcBinding& binding, uint32_t procedure, BytesView args,
                               const RequestContext& context, RpcCallInfo* info_out,
                               std::source_location birth) {
   if (transport_->async_channel().kind == AsyncChannelKind::kTcpStream) {
@@ -149,7 +149,7 @@ Result<Bytes> RpcClient::Call(const HrpcBinding& binding, uint32_t procedure, co
                       info_out);
 }
 
-RpcFuture RpcClient::CallAsync(const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
+RpcFuture RpcClient::CallAsync(const HrpcBinding& binding, uint32_t procedure, BytesView args,
                                const RequestContext& context, std::source_location birth) {
   const ControlProtocol& control = GetControlProtocol(binding.control);
   const RequestContext effective = EffectiveContext(context);
@@ -184,7 +184,7 @@ RpcFuture RpcClient::CallAsync(const HrpcBinding& binding, uint32_t procedure, c
   AsyncCallSpec spec;
   spec.binding = binding;
   spec.procedure = procedure;
-  spec.args = args;
+  spec.args = args.ToBytes();  // the engine's attempts outlive the caller's buffer
   spec.context = effective;
   spec.channel = channel;
   AsyncClientEngine* engine =
@@ -194,12 +194,13 @@ RpcFuture RpcClient::CallAsync(const HrpcBinding& binding, uint32_t procedure, c
 }
 
 Result<Bytes> RpcClient::CallBlocking(const ControlProtocol& control, const HrpcBinding& binding,
-                                      uint32_t procedure, const Bytes& args,
+                                      uint32_t procedure, BytesView args,
                                       const RequestContext& effective, RpcCallInfo* info_out) {
   RpcCallInfo info;
   info.trace_id = effective.trace_id;
 
-  RpcCall call;
+  // The caller's argument bytes are encoded straight into the message.
+  RpcCallView call;
   call.xid = next_xid_.fetch_add(1, std::memory_order_relaxed);
   call.program = binding.program;
   call.version = binding.version;
@@ -229,7 +230,9 @@ Result<Bytes> RpcClient::CallBlocking(const ControlProtocol& control, const Hrpc
   };
   const XidMatcher matcher(&control, want_xid);
 
-  Result<Bytes> response = UnavailableError("not attempted");
+  Result<BytesView> response = UnavailableError("not attempted");
+  // Holds the reply for transports without a receive buffer of their own.
+  Bytes reply_storage;
   int64_t backoff_ms = RetryPolicy::kBackoffBaseMs;
   ScratchLease scratch;
   Bytes& message = *scratch.get();
@@ -256,11 +259,11 @@ Result<Bytes> RpcClient::CallBlocking(const ControlProtocol& control, const Hrpc
       ++info.attempts;
       int64_t attempt_budget = RetryPolicy::AttemptBudgetMs(attempt, remaining);
       response = transport_->RoundTripMatching(local_host_, binding.host, binding.port, message,
-                                               attempt_budget, matcher);
+                                               attempt_budget, matcher, &reply_storage);
     } else {
       ++info.attempts;
       response = transport_->RoundTripMatching(local_host_, binding.host, binding.port, message,
-                                               /*budget_ms=*/0, matcher);
+                                               /*budget_ms=*/0, matcher, &reply_storage);
     }
     if (info_out != nullptr) {
       *info_out = info;
@@ -295,15 +298,17 @@ Result<Bytes> RpcClient::CallBlocking(const ControlProtocol& control, const Hrpc
     }
   }
 
-  HCS_ASSIGN_OR_RETURN(RpcReplyMsg reply, control.DecodeReply(*response));
+  // Decoded where it landed; the results are the one copy this call makes.
+  HCS_ASSIGN_OR_RETURN(RpcReplyView reply, control.DecodeReplyView(response->data(),
+                                                                  response->size()));
   if (reply.xid != want_xid) {
     return ProtocolError(
         StrFormat("reply xid %u does not match call xid %u", reply.xid, want_xid));
   }
   if (reply.app_status != StatusCode::kOk) {
-    return Status(reply.app_status, reply.error_message);
+    return Status(reply.app_status, std::move(reply.error_message));
   }
-  return reply.results;
+  return reply.results.ToBytes();
 }
 
 }  // namespace hcs

@@ -86,7 +86,7 @@ class RpcClient {
   // budget capped by the remaining overall budget, the attempt counter
   // re-marshalled per try. Otherwise exactly one attempt is made (the seed
   // behavior; sim runs stay deterministic).
-  HCS_NODISCARD Result<Bytes> Call(const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
+  HCS_NODISCARD Result<Bytes> Call(const HrpcBinding& binding, uint32_t procedure, BytesView args,
                      const RequestContext& context = RequestContext{},
                      RpcCallInfo* info_out = nullptr,
                      std::source_location birth = std::source_location::current());
@@ -103,7 +103,7 @@ class RpcClient {
   // the caller as the future's birth site: debug builds report it when the
   // future is Wait()ed on an event-loop thread (DESIGN.md §15).
   HCS_NODISCARD RpcFuture CallAsync(
-      const HrpcBinding& binding, uint32_t procedure, const Bytes& args,
+      const HrpcBinding& binding, uint32_t procedure, BytesView args,
       const RequestContext& context = RequestContext{},
       std::source_location birth = std::source_location::current());
 
@@ -122,7 +122,7 @@ class RpcClient {
   // with it inline.
   HCS_NODISCARD Result<Bytes> CallBlocking(const ControlProtocol& control,
                                            const HrpcBinding& binding, uint32_t procedure,
-                                           const Bytes& args, const RequestContext& effective,
+                                           BytesView args, const RequestContext& effective,
                                            RpcCallInfo* info_out);
 
   World* world_;

@@ -60,6 +60,9 @@ struct RequestContextWire {
   uint32_t attempt = 0;
   uint64_t trace_id = 0;
 
+  // Bytes EncodeTo appends: two XDR hypers and an unsigned int.
+  static constexpr size_t kEncodedSize = 20;
+
   void EncodeTo(XdrEncoder& enc) const;
   HCS_NODISCARD static Result<RequestContextWire> DecodeFrom(XdrDecoder& dec);
 

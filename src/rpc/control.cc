@@ -37,8 +37,10 @@ class SunRpcControl : public ControlProtocol {
  public:
   ControlKind kind() const override { return ControlKind::kSunRpc; }
 
-  void EncodeCallTo(const RpcCall& call, Bytes* out) const override {
+  void EncodeCallTo(const RpcCallView& call, Bytes* out) const override {
     XdrEncoder enc(out);
+    const size_t credential_body = call.context.empty() ? 0 : RequestContextWire::kEncodedSize;
+    enc.Reserve(6 * 4 + 8 + credential_body + 8 + XdrEncoder::OpaqueSize(call.args.size()));
     enc.PutUint32(call.xid);
     enc.PutUint32(kMsgTypeCall);
     enc.PutUint32(kSunRpcVersion);
@@ -46,15 +48,15 @@ class SunRpcControl : public ControlProtocol {
     enc.PutUint32(call.version);
     enc.PutUint32(call.procedure);
     // Credentials: AUTH_NULL, unless a request context rides along — then
-    // the context travels as the credential body under its own flavor.
+    // the context travels as the credential body under its own flavor,
+    // written in place (its encoding is whole words, so no padding).
     if (call.context.empty()) {
       enc.PutUint32(0);
       enc.PutUint32(0);
     } else {
       enc.PutUint32(kContextAuthFlavor);
-      XdrEncoder context_enc;
-      RequestContextWire::FromContext(call.context).EncodeTo(context_enc);
-      enc.PutOpaque(context_enc.Take());
+      enc.PutUint32(static_cast<uint32_t>(credential_body));
+      RequestContextWire::FromContext(call.context).EncodeTo(enc);
     }
     // Verifier (AUTH_NULL).
     enc.PutUint32(0);
@@ -80,7 +82,7 @@ class SunRpcControl : public ControlProtocol {
     // Credentials: flavor + opaque body. The HCS context flavor carries the
     // request budget; any other flavor (AUTH_NULL included) is skipped.
     HCS_ASSIGN_OR_RETURN(uint32_t cred_flavor, dec.GetUint32());
-    HCS_ASSIGN_OR_RETURN(Bytes cred_body, dec.GetOpaque());
+    HCS_ASSIGN_OR_RETURN(BytesView cred_body, dec.GetOpaqueView());
     if (cred_flavor == kContextAuthFlavor) {
       XdrDecoder context_dec(cred_body);
       HCS_ASSIGN_OR_RETURN(RequestContextWire wire, RequestContextWire::DecodeFrom(context_dec));
@@ -92,7 +94,7 @@ class SunRpcControl : public ControlProtocol {
     // Verifier: flavor + opaque body, AUTH_NULL here but parsed generally.
     HCS_ASSIGN_OR_RETURN(uint32_t verf_flavor, dec.GetUint32());
     (void)verf_flavor;
-    HCS_ASSIGN_OR_RETURN(Bytes verf_body, dec.GetOpaque());
+    HCS_ASSIGN_OR_RETURN(BytesView verf_body, dec.GetOpaqueView());
     (void)verf_body;
     HCS_ASSIGN_OR_RETURN(call.args, dec.GetOpaqueView());
     if (!dec.AtEnd()) {
@@ -103,6 +105,8 @@ class SunRpcControl : public ControlProtocol {
 
   void EncodeReplyTo(const RpcReplyMsg& reply, Bytes* out) const override {
     XdrEncoder enc(out);
+    enc.Reserve(7 * 4 + XdrEncoder::OpaqueSize(reply.error_message.size()) +
+                XdrEncoder::OpaqueSize(reply.results.size()));
     enc.PutUint32(reply.xid);
     enc.PutUint32(kMsgTypeReply);
     enc.PutUint32(kReplyAccepted);
@@ -126,9 +130,9 @@ class SunRpcControl : public ControlProtocol {
     return *xid;
   }
 
-  Result<RpcReplyMsg> DecodeReply(const Bytes& message) const override {
-    XdrDecoder dec(message);
-    RpcReplyMsg reply;
+  Result<RpcReplyView> DecodeReplyView(const uint8_t* data, size_t size) const override {
+    XdrDecoder dec(data, size);
+    RpcReplyView reply;
     HCS_ASSIGN_OR_RETURN(reply.xid, dec.GetUint32());
     HCS_ASSIGN_OR_RETURN(uint32_t mtype, dec.GetUint32());
     if (mtype != kMsgTypeReply) {
@@ -140,7 +144,7 @@ class SunRpcControl : public ControlProtocol {
     }
     HCS_ASSIGN_OR_RETURN(uint32_t verf_flavor, dec.GetUint32());
     (void)verf_flavor;
-    HCS_ASSIGN_OR_RETURN(Bytes verf_body, dec.GetOpaque());
+    HCS_ASSIGN_OR_RETURN(BytesView verf_body, dec.GetOpaqueView());
     (void)verf_body;
     HCS_ASSIGN_OR_RETURN(uint32_t accept_stat, dec.GetUint32());
     if (accept_stat != kAcceptSuccess) {
@@ -149,7 +153,7 @@ class SunRpcControl : public ControlProtocol {
     HCS_ASSIGN_OR_RETURN(uint32_t app_status, dec.GetUint32());
     reply.app_status = static_cast<StatusCode>(app_status);
     HCS_ASSIGN_OR_RETURN(reply.error_message, dec.GetString());
-    HCS_ASSIGN_OR_RETURN(reply.results, dec.GetOpaque());
+    HCS_ASSIGN_OR_RETURN(reply.results, dec.GetOpaqueView());
     if (!dec.AtEnd()) {
       return ProtocolError("SunRPC: trailing bytes after reply body");
     }
@@ -170,6 +174,7 @@ constexpr uint16_t kCourierCallWithContext = 4;
 
 // The context fields in Courier's 16-bit-word vocabulary: two LongCardinals
 // per 64-bit field, one Cardinal for the attempt counter.
+constexpr size_t kCourierContextSize = 4 * 4 + 2;
 void EncodeContext(CourierEncoder& enc, const RequestContextWire& wire) {
   enc.PutLongCardinal(static_cast<uint32_t>(wire.budget_ms >> 32));
   enc.PutLongCardinal(static_cast<uint32_t>(wire.budget_ms & 0xffffffffu));
@@ -195,8 +200,10 @@ class CourierControl : public ControlProtocol {
  public:
   ControlKind kind() const override { return ControlKind::kCourier; }
 
-  void EncodeCallTo(const RpcCall& call, Bytes* out) const override {
+  void EncodeCallTo(const RpcCallView& call, Bytes* out) const override {
     CourierEncoder enc(out);
+    enc.Reserve(2 + (call.context.empty() ? 0 : kCourierContextSize) + 10 +
+                CourierEncoder::SequenceSize(call.args.size()));
     if (call.context.empty()) {
       enc.PutCardinal(kCourierCall);
     } else {
@@ -234,6 +241,9 @@ class CourierControl : public ControlProtocol {
 
   void EncodeReplyTo(const RpcReplyMsg& reply, Bytes* out) const override {
     CourierEncoder enc(out);
+    enc.Reserve(reply.app_status == StatusCode::kOk
+                    ? 4 + CourierEncoder::SequenceSize(reply.results.size())
+                    : 6 + CourierEncoder::SequenceSize(reply.error_message.size()));
     if (reply.app_status == StatusCode::kOk) {
       enc.PutCardinal(kCourierReturn);
       enc.PutCardinal(static_cast<uint16_t>(reply.xid));
@@ -256,14 +266,14 @@ class CourierControl : public ControlProtocol {
     return *tid;
   }
 
-  Result<RpcReplyMsg> DecodeReply(const Bytes& message) const override {
-    CourierDecoder dec(message);
+  Result<RpcReplyView> DecodeReplyView(const uint8_t* data, size_t size) const override {
+    CourierDecoder dec(data, size);
     HCS_ASSIGN_OR_RETURN(uint16_t mtype, dec.GetCardinal());
-    RpcReplyMsg reply;
+    RpcReplyView reply;
     HCS_ASSIGN_OR_RETURN(uint16_t tid, dec.GetCardinal());
     reply.xid = tid;
     if (mtype == kCourierReturn) {
-      HCS_ASSIGN_OR_RETURN(reply.results, dec.GetSequence());
+      HCS_ASSIGN_OR_RETURN(reply.results, dec.GetSequenceView());
       return reply;
     }
     if (mtype == kCourierAbort) {
@@ -288,8 +298,10 @@ class RawControl : public ControlProtocol {
  public:
   ControlKind kind() const override { return ControlKind::kRaw; }
 
-  void EncodeCallTo(const RpcCall& call, Bytes* out) const override {
+  void EncodeCallTo(const RpcCallView& call, Bytes* out) const override {
     XdrEncoder enc(out);
+    enc.Reserve(4 + (call.context.empty() ? 0 : RequestContextWire::kEncodedSize) + 3 * 4 +
+                XdrEncoder::OpaqueSize(call.args.size()));
     if (call.context.empty()) {
       enc.PutUint32(kRawMagic);
     } else {
@@ -326,6 +338,8 @@ class RawControl : public ControlProtocol {
 
   void EncodeReplyTo(const RpcReplyMsg& reply, Bytes* out) const override {
     XdrEncoder enc(out);
+    enc.Reserve(3 * 4 + XdrEncoder::OpaqueSize(reply.error_message.size()) +
+                XdrEncoder::OpaqueSize(reply.results.size()));
     enc.PutUint32(kRawMagic);
     enc.PutUint32(reply.xid);
     enc.PutUint32(static_cast<uint32_t>(reply.app_status));
@@ -343,18 +357,18 @@ class RawControl : public ControlProtocol {
     return *xid;
   }
 
-  Result<RpcReplyMsg> DecodeReply(const Bytes& message) const override {
-    XdrDecoder dec(message);
+  Result<RpcReplyView> DecodeReplyView(const uint8_t* data, size_t size) const override {
+    XdrDecoder dec(data, size);
     HCS_ASSIGN_OR_RETURN(uint32_t magic, dec.GetUint32());
     if (magic != kRawMagic) {
       return ProtocolError("RawHRPC: bad magic");
     }
-    RpcReplyMsg reply;
+    RpcReplyView reply;
     HCS_ASSIGN_OR_RETURN(reply.xid, dec.GetUint32());
     HCS_ASSIGN_OR_RETURN(uint32_t status, dec.GetUint32());
     reply.app_status = static_cast<StatusCode>(status);
     HCS_ASSIGN_OR_RETURN(reply.error_message, dec.GetString());
-    HCS_ASSIGN_OR_RETURN(reply.results, dec.GetOpaque());
+    HCS_ASSIGN_OR_RETURN(reply.results, dec.GetOpaqueView());
     if (!dec.AtEnd()) {
       return ProtocolError("RawHRPC: trailing bytes after reply body");
     }
@@ -364,7 +378,18 @@ class RawControl : public ControlProtocol {
 
 }  // namespace
 
-Result<RpcCall> ControlProtocol::DecodeCall(const Bytes& message) const {
+RpcCallView RpcCallView::Of(const RpcCall& call) {
+  RpcCallView view;
+  view.xid = call.xid;
+  view.program = call.program;
+  view.version = call.version;
+  view.procedure = call.procedure;
+  view.context = call.context;
+  view.args = BytesView(call.args);
+  return view;
+}
+
+Result<RpcCall> ControlProtocol::DecodeCall(BytesView message) const {
   HCS_ASSIGN_OR_RETURN(RpcCallView view, DecodeCallView(message.data(), message.size()));
   RpcCall call;
   call.xid = view.xid;
@@ -374,6 +399,16 @@ Result<RpcCall> ControlProtocol::DecodeCall(const Bytes& message) const {
   call.context = view.context;
   call.args = view.args.ToBytes();
   return call;
+}
+
+Result<RpcReplyMsg> ControlProtocol::DecodeReply(BytesView message) const {
+  HCS_ASSIGN_OR_RETURN(RpcReplyView view, DecodeReplyView(message.data(), message.size()));
+  RpcReplyMsg reply;
+  reply.xid = view.xid;
+  reply.app_status = view.app_status;
+  reply.error_message = std::move(view.error_message);
+  reply.results = view.results.ToBytes();
+  return reply;
 }
 
 const ControlProtocol& GetControlProtocol(ControlKind kind) {

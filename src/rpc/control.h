@@ -21,7 +21,7 @@
 
 namespace hcs {
 
-// A framed call as seen by the control protocol.
+// A framed call as seen by the control protocol, owning its argument bytes.
 struct RpcCall {
   uint32_t xid = 0;
   uint32_t program = 0;
@@ -43,9 +43,11 @@ struct RpcReplyMsg {
   Bytes results;
 };
 
-// A decoded call whose argument bytes are a view into the message buffer —
-// the zero-copy hand-off from transport to dispatch. The view is valid only
-// while that buffer lives (on the serve path: until the handler returns;
+// A call whose argument bytes are a view: what DecodeCallView returns (the
+// zero-copy hand-off from transport to dispatch) and what EncodeCallTo
+// reads (so a client encodes the caller's argument bytes straight into the
+// message, with no copy into an RpcCall first). The view is valid only
+// while its buffer lives (on the serve path: until the handler returns;
 // DESIGN.md §13).
 struct RpcCallView {
   uint32_t xid = 0;
@@ -53,10 +55,23 @@ struct RpcCallView {
   uint32_t version = 0;
   uint32_t procedure = 0;
   RequestContext context;
-  // Call-scoped carrier: HandleFrame constructs this struct, dispatches, and
-  // drops it before the reply is sent, all inside the frame's arena binding.
-  // hcs:owns-view(dies with the frame: built and consumed under HandleFrame)
+  // Call-scoped carrier: built and consumed within one statement sequence —
+  // HandleFrame's decode-dispatch, or one encode of a caller's arguments.
+  // hcs:owns-view(call-scoped: dies with the frame or the encode that built it)
   BytesView args;
+
+  static RpcCallView Of(const RpcCall& call);
+};
+
+// A decoded reply whose result bytes are a view into the message buffer:
+// the caller copies them once, into whatever it keeps. Valid only while
+// that buffer lives.
+struct RpcReplyView {
+  uint32_t xid = 0;
+  StatusCode app_status = StatusCode::kOk;
+  std::string error_message;
+  // hcs:owns-view(call-scoped: read and copied before the next exchange on the thread)
+  BytesView results;
 };
 
 class ControlProtocol {
@@ -64,15 +79,16 @@ class ControlProtocol {
   virtual ~ControlProtocol() = default;
   virtual ControlKind kind() const = 0;
 
-  // Encode into `*out` (cleared first): the allocation-reusing primitives
-  // the hot paths call.
-  virtual void EncodeCallTo(const RpcCall& call, Bytes* out) const = 0;
+  // Encode into `*out` (cleared first, then sized once): the
+  // allocation-reusing primitives the hot paths call.
+  virtual void EncodeCallTo(const RpcCallView& call, Bytes* out) const = 0;
   virtual void EncodeReplyTo(const RpcReplyMsg& reply, Bytes* out) const = 0;
-  // Decode without copying the argument bytes; the returned view aliases
-  // [data, data + size).
+  // Decode without copying the argument or result bytes; the returned view
+  // aliases [data, data + size).
   HCS_NODISCARD virtual Result<RpcCallView> DecodeCallView(const uint8_t* data,
                                                            size_t size) const = 0;
-  HCS_NODISCARD virtual Result<RpcReplyMsg> DecodeReply(const Bytes& message) const = 0;
+  HCS_NODISCARD virtual Result<RpcReplyView> DecodeReplyView(const uint8_t* data,
+                                                             size_t size) const = 0;
   // The transaction id a reply's header carries (Courier's is 16 bits),
   // read without decoding the body; nullopt when the bytes do not start
   // like a reply of this protocol.
@@ -81,7 +97,7 @@ class ControlProtocol {
   // Owning convenience wrappers over the primitives above.
   Bytes EncodeCall(const RpcCall& call) const {
     Bytes out;
-    EncodeCallTo(call, &out);
+    EncodeCallTo(RpcCallView::Of(call), &out);
     return out;
   }
   Bytes EncodeReply(const RpcReplyMsg& reply) const {
@@ -89,7 +105,8 @@ class ControlProtocol {
     EncodeReplyTo(reply, &out);
     return out;
   }
-  HCS_NODISCARD Result<RpcCall> DecodeCall(const Bytes& message) const;
+  HCS_NODISCARD Result<RpcCall> DecodeCall(BytesView message) const;
+  HCS_NODISCARD Result<RpcReplyMsg> DecodeReply(BytesView message) const;
 };
 
 // Returns the process-wide instance for a control protocol kind.

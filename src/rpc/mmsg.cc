@@ -3,6 +3,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -47,11 +48,18 @@ bool IsUnsupportedErrno(int err) { return err == ENOSYS || err == EOPNOTSUPP; }
 #if HCS_VIEW_DEBUG_ENABLED
 // Partial-batch poisoning (DESIGN.md §13 rule R3): after a Recv lands
 // `count` of `capacity` frames, everything the kernel did not fill is
-// re-trapped — the tail of each received slot past its datagram, and every
+// trapped — the tail of each received slot past its datagram, and every
 // unreceived slot. A decoder that walks past frame.size, or dispatch code
 // that touches a neighboring slot, hits poison instead of stale bytes.
+// Only ASan needs the pass: Allocate unpoisoned the slots for the kernel
+// to write. A canary build's unfilled bytes still carry the scribble,
+// because the batch re-poisons exactly what it received before each
+// recycle (UdpRecvBatch::Recv) — so it skips this O(capacity) memset.
 void PoisonUnreceivedSpans(uint8_t* slots, size_t slot_bytes, const UdpFrame* frames,
                            int count, int capacity) {
+  if (!DebugPoisonTraps()) {
+    return;
+  }
   for (int i = 0; i < count; ++i) {
     uint8_t* slot = slots + static_cast<size_t>(i) * slot_bytes;
     DebugPoisonSpan(slot + frames[i].size, slot_bytes - frames[i].size);
@@ -165,14 +173,26 @@ UdpRecvBatch::UdpRecvBatch(int capacity, size_t slot_bytes)
     : capacity_(capacity < 1 ? 1 : capacity),
       slot_bytes_(slot_bytes < 1 ? 1 : slot_bytes),
       arena_(static_cast<size_t>(capacity_) * slot_bytes_),
+      landed_(static_cast<size_t>(capacity_)),
       frames_(static_cast<size_t>(capacity_)),
       msgs_(static_cast<size_t>(capacity_)),
       iovs_(static_cast<size_t>(capacity_)),
       controls_(static_cast<size_t>(capacity_)) {}
 
 int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
-  arena_.Reset();
+#if HCS_VIEW_DEBUG_ENABLED
+  // Recycle. Only the bytes the last Recv landed can hold a payload, so
+  // only they are poisoned again; the arena still bumps its generation (a
+  // stale view still aborts) but skips re-poisoning every slot.
+  for (int i = 0; i < landed_count_; ++i) {
+    DebugPoisonSpan(slots_ + static_cast<size_t>(i) * slot_bytes_,
+                    landed_[static_cast<size_t>(i)]);
+  }
+#endif
+  landed_count_ = 0;
+  arena_.ResetRepoisoned();
   uint8_t* slots = arena_.Allocate(static_cast<size_t>(capacity_) * slot_bytes_);
+  slots_ = slots;
 
   if (MmsgAvailable()) {
     for (int i = 0; i < capacity_; ++i) {
@@ -210,7 +230,9 @@ int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
         f.size = m.msg_len;
         f.truncated = (m.msg_hdr.msg_flags & MSG_TRUNC) != 0;
         f.rx_realtime_ns = ReceiveTimestampNs(m.msg_hdr);
+        landed_[static_cast<size_t>(i)] = std::min(f.size, slot_bytes_);
       }
+      landed_count_ = n;
 #if HCS_VIEW_DEBUG_ENABLED
       PoisonUnreceivedSpans(slots, slot_bytes_, frames_.data(), n, capacity_);
 #endif
@@ -254,7 +276,9 @@ int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
     // the slot cut it short — the same signal recvmmsg gives via msg_flags.
     f.truncated = static_cast<size_t>(n) > slot_bytes_;
     f.size = f.truncated ? slot_bytes_ : static_cast<size_t>(n);
+    landed_[static_cast<size_t>(count)] = f.size;
     ++count;
+    landed_count_ = count;
   }
 #if HCS_VIEW_DEBUG_ENABLED
   PoisonUnreceivedSpans(slots, slot_bytes_, frames_.data(), count, capacity_);
@@ -268,8 +292,12 @@ size_t SendReplies(int fd, std::vector<UdpReply>& replies) {
   }
 
   if (MmsgAvailable()) {
-    std::vector<mmsghdr> msgs(replies.size());
-    std::vector<iovec> iovs(replies.size());
+    // Per-thread headers, grown to the largest batch this thread has sent:
+    // a steady-state flush allocates nothing.
+    thread_local std::vector<mmsghdr> msgs;
+    thread_local std::vector<iovec> iovs;
+    msgs.resize(replies.size());
+    iovs.resize(replies.size());
     for (size_t i = 0; i < replies.size(); ++i) {
       iovs[i].iov_base = replies[i].payload.data();
       iovs[i].iov_len = replies[i].payload.size();

@@ -147,6 +147,13 @@ class UdpRecvBatch {
   const int capacity_;
   const size_t slot_bytes_;
   Arena arena_;
+  // Where the slots start and what the last Recv landed in each (the
+  // frames themselves are the caller's to edit): the bytes the next Recv
+  // poisons before the arena recycles, so debug poisoning costs what was
+  // received, not the batch's capacity.
+  uint8_t* slots_ = nullptr;
+  std::vector<size_t> landed_;
+  int landed_count_ = 0;
   std::vector<UdpFrame> frames_;
   std::vector<mmsghdr> msgs_;
   std::vector<iovec> iovs_;

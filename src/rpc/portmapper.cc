@@ -24,10 +24,10 @@ uint64_t PortMapper::Key(uint32_t program, uint32_t version, uint32_t protocol) 
 
 void PortMapper::RegisterHandlers() {
   server_.RegisterProcedure(kPortmapperProgram, kPmapProcNull,
-                            [](const Bytes&) -> Result<Bytes> { return Bytes{}; });
+                            [](BytesView) -> Result<Bytes> { return Bytes{}; });
 
   server_.RegisterProcedure(
-      kPortmapperProgram, kPmapProcGetPort, [this](const Bytes& args) -> Result<Bytes> {
+      kPortmapperProgram, kPmapProcGetPort, [this](BytesView args) -> Result<Bytes> {
         HCS_RETURN_IF_ERROR(ShedIfBudgetSpent("portmapper"));
         world_->ChargeMs(world_->costs().sun_portmapper_cpu_ms);
         XdrDecoder dec(args);
@@ -43,7 +43,7 @@ void PortMapper::RegisterHandlers() {
       });
 
   server_.RegisterProcedure(
-      kPortmapperProgram, kPmapProcSet, [this](const Bytes& args) -> Result<Bytes> {
+      kPortmapperProgram, kPmapProcSet, [this](BytesView args) -> Result<Bytes> {
         world_->ChargeMs(world_->costs().sun_portmapper_cpu_ms);
         XdrDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(uint32_t program, dec.GetUint32());
@@ -60,7 +60,7 @@ void PortMapper::RegisterHandlers() {
       });
 
   server_.RegisterProcedure(
-      kPortmapperProgram, kPmapProcUnset, [this](const Bytes& args) -> Result<Bytes> {
+      kPortmapperProgram, kPmapProcUnset, [this](BytesView args) -> Result<Bytes> {
         world_->ChargeMs(world_->costs().sun_portmapper_cpu_ms);
         XdrDecoder dec(args);
         HCS_ASSIGN_OR_RETURN(uint32_t program, dec.GetUint32());

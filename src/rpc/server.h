@@ -23,10 +23,8 @@ class RpcServer : public SimService {
   // A procedure body: argument bytes in, result bytes out. CPU costs are
   // charged by the body itself (simulated servers) or not at all (real
   // transports). The argument bytes are a view into the arrival buffer,
-  // valid only until the handler returns; a lambda written against
-  // `const Bytes&` still compiles (BytesView materializes a copy at the
-  // call, the pre-view cost), while hot handlers take BytesView directly
-  // and decode without one.
+  // valid only until the handler returns: a handler decodes from the view,
+  // and one that keeps the bytes copies them with ToBytes().
   using Handler = std::function<Result<Bytes>(BytesView args)>;
 
   // `name` appears in diagnostics only.

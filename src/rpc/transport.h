@@ -70,17 +70,28 @@ class Transport {
 
   // The exchange the blocking client makes: RoundTripWithBudget for
   // `budget_ms` > 0, RoundTrip otherwise, and only a reply `reply` accepts
-  // is returned. The base implementation has one reply per exchange and
-  // ignores the matcher.
-  HCS_NODISCARD virtual Result<Bytes> RoundTripMatching(const std::string& from_host,
-                                                        const std::string& to_host, uint16_t port,
-                                                        const Bytes& message, int64_t budget_ms,
-                                                        const ReplyMatcher& reply) {
+  // is returned. The reply comes back as a view, so the caller decodes it
+  // where it landed and copies out only what it keeps: the view is over
+  // the transport's own receive buffer when it has one (UdpTransport: the
+  // calling thread's, which that thread's next exchange reuses — a nested
+  // call's included), else over `*storage`. Either way, read it before this
+  // thread makes another call. The base implementation has one reply per
+  // exchange, ignores the matcher, and moves the reply into `*storage`.
+  HCS_NODISCARD virtual Result<BytesView> RoundTripMatching(const std::string& from_host,
+                                                            const std::string& to_host,
+                                                            uint16_t port, const Bytes& message,
+                                                            int64_t budget_ms,
+                                                            const ReplyMatcher& reply,
+                                                            Bytes* storage) {
     (void)reply;
-    if (budget_ms > 0) {
-      return RoundTripWithBudget(from_host, to_host, port, message, budget_ms);
+    Result<Bytes> response = budget_ms > 0
+                                 ? RoundTripWithBudget(from_host, to_host, port, message, budget_ms)
+                                 : RoundTrip(from_host, to_host, port, message);
+    if (!response.ok()) {
+      return response.status();
     }
-    return RoundTrip(from_host, to_host, port, message);
+    *storage = std::move(response).value();
+    return BytesView(*storage);
   }
 
   // True when the transport can bound one exchange in real time — the

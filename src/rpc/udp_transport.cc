@@ -303,7 +303,8 @@ Result<Bytes> UdpTransport::RoundTrip(const std::string& from_host,
                                       const Bytes& message) {
   (void)from_host;
   (void)to_host;  // everything lives on 127.0.0.1
-  return Exchange(port, message, timeout_ms_, nullptr);
+  HCS_ASSIGN_OR_RETURN(BytesView reply, Exchange(port, message, timeout_ms_, nullptr));
+  return reply.ToBytes();
 }
 
 Result<Bytes> UdpTransport::RoundTripWithBudget(const std::string& from_host,
@@ -312,15 +313,17 @@ Result<Bytes> UdpTransport::RoundTripWithBudget(const std::string& from_host,
   (void)from_host;
   (void)to_host;
   int64_t timeout = budget_ms > 0 ? std::min<int64_t>(budget_ms, timeout_ms_) : timeout_ms_;
-  return Exchange(port, message, timeout, nullptr);
+  HCS_ASSIGN_OR_RETURN(BytesView reply, Exchange(port, message, timeout, nullptr));
+  return reply.ToBytes();
 }
 
-Result<Bytes> UdpTransport::RoundTripMatching(const std::string& from_host,
-                                              const std::string& to_host, uint16_t port,
-                                              const Bytes& message, int64_t budget_ms,
-                                              const ReplyMatcher& reply) {
+Result<BytesView> UdpTransport::RoundTripMatching(const std::string& from_host,
+                                                  const std::string& to_host, uint16_t port,
+                                                  const Bytes& message, int64_t budget_ms,
+                                                  const ReplyMatcher& reply, Bytes* storage) {
   (void)from_host;
   (void)to_host;
+  (void)storage;
   int64_t timeout = budget_ms > 0 ? std::min<int64_t>(budget_ms, timeout_ms_) : timeout_ms_;
   return Exchange(port, message, timeout, &reply);
 }
@@ -339,6 +342,9 @@ namespace {
 struct ClientSocket {
   int fd = -1;
   int64_t timeout_ms = 0;  // the SO_RCVTIMEO last set on `fd` (0: none yet)
+  // Where replies land. Exchange hands out views of it, so the thread's
+  // next exchange (a nested call's included) overwrites what they show.
+  Bytes buffer = Bytes(kMaxDatagram);
   ~ClientSocket() {
     if (fd >= 0) {
       close(fd);
@@ -365,8 +371,8 @@ struct ClientSocket {
 
 }  // namespace
 
-Result<Bytes> UdpTransport::Exchange(uint16_t port, const Bytes& message, int64_t timeout_ms,
-                                     const ReplyMatcher* reply) {
+Result<BytesView> UdpTransport::Exchange(uint16_t port, const Bytes& message,
+                                         int64_t timeout_ms, const ReplyMatcher* reply) {
   if (message.size() > kMaxDatagram) {
     return ResourceExhaustedError("message exceeds one datagram");
   }
@@ -392,7 +398,7 @@ Result<Bytes> UdpTransport::Exchange(uint16_t port, const Bytes& message, int64_
   }
   CountUdpExchangeSend();
 
-  thread_local std::vector<uint8_t> buffer(kMaxDatagram);
+  Bytes& buffer = sock.buffer;
   const int64_t deadline_ms = reply != nullptr ? SteadyNowMs() + timeout_ms : 0;
   while (true) {
     ssize_t n = recv(sock.fd, buffer.data(), buffer.size(), 0);
@@ -407,7 +413,7 @@ Result<Bytes> UdpTransport::Exchange(uint16_t port, const Bytes& message, int64_
     }
     CountUdpExchangeRecv();
     if (reply == nullptr || reply->Matches(buffer.data(), static_cast<size_t>(n))) {
-      return Bytes(buffer.begin(), buffer.begin() + n);
+      return BytesView(buffer.data(), static_cast<size_t>(n));
     }
     // A stray reply to an earlier exchange: drop it and wait out the rest
     // of this exchange's timeout.

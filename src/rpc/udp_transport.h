@@ -143,11 +143,14 @@ class UdpTransport : public Transport {
 
   // The blocking client's exchange: a datagram `reply` rejects (a
   // duplicate or late reply to an earlier exchange on this thread's
-  // socket) is dropped, and the wait goes on within the same timeout.
-  HCS_NODISCARD Result<Bytes> RoundTripMatching(const std::string& from_host,
-                                                const std::string& to_host, uint16_t port,
-                                                const Bytes& message, int64_t budget_ms,
-                                                const ReplyMatcher& reply) override;
+  // socket) is dropped, and the wait goes on within the same timeout. The
+  // returned view is over this thread's receive buffer (`storage` is not
+  // used) and lasts until the thread's next exchange.
+  HCS_NODISCARD Result<BytesView> RoundTripMatching(const std::string& from_host,
+                                                    const std::string& to_host, uint16_t port,
+                                                    const Bytes& message, int64_t budget_ms,
+                                                    const ReplyMatcher& reply,
+                                                    Bytes* storage) override;
 
   bool SupportsBudget() const override { return true; }
 
@@ -156,9 +159,11 @@ class UdpTransport : public Transport {
   }
 
  private:
-  // `reply` null: the first datagram received is the answer.
-  HCS_NODISCARD Result<Bytes> Exchange(uint16_t port, const Bytes& message, int64_t timeout_ms,
-                                       const ReplyMatcher* reply);
+  // `reply` null: the first datagram received is the answer. The view is
+  // over the calling thread's receive buffer, valid until its next
+  // exchange.
+  HCS_NODISCARD Result<BytesView> Exchange(uint16_t port, const Bytes& message,
+                                           int64_t timeout_ms, const ReplyMatcher* reply);
 
   int timeout_ms_;
 };

@@ -114,9 +114,9 @@ void Testbed::BuildNetwork() {
   // The Sun RPC service Import targets: an echo server on fiji.
   auto desired = std::make_unique<RpcServer>(ControlKind::kSunRpc, "DesiredService@fiji");
   desired->RegisterProcedure(kDesiredServiceProgram, 1,
-                             [this](const Bytes& args) -> Result<Bytes> {
+                             [this](BytesView args) -> Result<Bytes> {
                                world_.ChargeMs(1.0);  // trivial service body
-                               return args;           // echo
+                               return args.ToBytes();           // echo
                              });
   RpcServer* desired_raw = world_.OwnService(std::move(desired));
   (void)world_.RegisterService(kSunServerHost, kDesiredServicePort, desired_raw);  // hcs:ignore-status(testbed wiring over fixed fixtures; failures surface in the tests built on this world)
@@ -124,9 +124,9 @@ void Testbed::BuildNetwork() {
   // The Courier service exported from the Xerox side: an echo server too.
   auto print = std::make_unique<RpcServer>(ControlKind::kCourier, "PrintService@Dorado");
   print->RegisterProcedure(kPrintServiceProgram, 1,
-                           [this](const Bytes& args) -> Result<Bytes> {
+                           [this](BytesView args) -> Result<Bytes> {
                              world_.ChargeMs(2.0);
-                             return args;
+                             return args.ToBytes();
                            });
   RpcServer* print_raw = world_.OwnService(std::move(print));
   (void)world_.RegisterService(kXeroxServerHost, kPrintServicePort, print_raw);  // hcs:ignore-status(testbed wiring over fixed fixtures; failures surface in the tests built on this world)

@@ -4,31 +4,6 @@
 
 namespace hcs {
 
-void BufferWriter::PutU8(uint8_t v) { out_->push_back(v); }
-
-void BufferWriter::PutU16(uint16_t v) {
-  out_->push_back(static_cast<uint8_t>(v >> 8));
-  out_->push_back(static_cast<uint8_t>(v));
-}
-
-void BufferWriter::PutU32(uint32_t v) {
-  out_->push_back(static_cast<uint8_t>(v >> 24));
-  out_->push_back(static_cast<uint8_t>(v >> 16));
-  out_->push_back(static_cast<uint8_t>(v >> 8));
-  out_->push_back(static_cast<uint8_t>(v));
-}
-
-void BufferWriter::PutU64(uint64_t v) {
-  PutU32(static_cast<uint32_t>(v >> 32));
-  PutU32(static_cast<uint32_t>(v));
-}
-
-void BufferWriter::PutBytes(const uint8_t* data, size_t n) {
-  out_->insert(out_->end(), data, data + n);
-}
-
-void BufferWriter::PutZeros(size_t n) { out_->insert(out_->end(), n, 0); }
-
 Status BufferReader::Need(size_t n) const {
   // Phrased as a subtraction so a wire-supplied n near SIZE_MAX cannot wrap
   // pos_ + n around and sneak past the bound (pos_ <= size_ always holds).

@@ -22,24 +22,50 @@ class BufferWriter {
   // `*out` must outlive the writer.
   explicit BufferWriter(Bytes* out) : out_(out) { out_->clear(); }
 
-  // Raw big-endian integer appends.
-  void PutU8(uint8_t v);
-  void PutU16(uint16_t v);
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
+  // Raw big-endian integer appends, each one append of its width.
+  void PutU8(uint8_t v) { out_->push_back(v); }
+  void PutU16(uint16_t v) {
+    uint8_t* p = Grow(2);
+    p[0] = static_cast<uint8_t>(v >> 8);
+    p[1] = static_cast<uint8_t>(v);
+  }
+  void PutU32(uint32_t v) {
+    uint8_t* p = Grow(4);
+    p[0] = static_cast<uint8_t>(v >> 24);
+    p[1] = static_cast<uint8_t>(v >> 16);
+    p[2] = static_cast<uint8_t>(v >> 8);
+    p[3] = static_cast<uint8_t>(v);
+  }
+  void PutU64(uint64_t v) {
+    PutU32(static_cast<uint32_t>(v >> 32));
+    PutU32(static_cast<uint32_t>(v));
+  }
 
   // Appends `n` bytes of `data`.
-  void PutBytes(const uint8_t* data, size_t n);
+  void PutBytes(const uint8_t* data, size_t n) { out_->insert(out_->end(), data, data + n); }
   void PutBytes(const Bytes& data) { PutBytes(data.data(), data.size()); }
 
   // Appends `n` zero bytes (padding).
-  void PutZeros(size_t n);
+  void PutZeros(size_t n) { out_->insert(out_->end(), n, 0); }
+
+  // Makes room for `n` more bytes, so an encoder that knows its message
+  // size grows the buffer once instead of doubling its way there. Call it
+  // once per message, before the first append: reserve() grows to exactly
+  // what is asked, so repeated small reserves would copy on every call.
+  void Reserve(size_t n) { out_->reserve(out_->size() + n); }
 
   size_t size() const { return out_->size(); }
   const Bytes& bytes() const { return *out_; }
   Bytes Take() { return std::move(*out_); }
 
  private:
+  // Appends `n` bytes and returns where they start.
+  uint8_t* Grow(size_t n) {
+    const size_t at = out_->size();
+    out_->resize(at + n);
+    return out_->data() + at;
+  }
+
   Bytes own_;
   Bytes* out_ = &own_;
 };

@@ -29,10 +29,8 @@ Result<bool> CourierDecoder::GetBoolean() {
 }
 
 Result<std::string> CourierDecoder::GetString() {
-  HCS_ASSIGN_OR_RETURN(uint16_t len, r_.GetU16());
-  HCS_ASSIGN_OR_RETURN(Bytes data, r_.GetBytes(len));
-  HCS_RETURN_IF_ERROR(r_.Skip(CourierPadding(len)));
-  return std::string(data.begin(), data.end());
+  HCS_ASSIGN_OR_RETURN(BytesView data, GetSequenceView());
+  return std::string(reinterpret_cast<const char*>(data.data()), data.size());
 }
 
 Result<BytesView> CourierDecoder::GetSequenceView() {

@@ -15,6 +15,9 @@
 
 namespace hcs {
 
+// Padding needed to align `n` bytes up to a 16-bit word boundary.
+constexpr size_t CourierPadding(size_t n) { return n % 2; }
+
 class CourierEncoder {
  public:
   CourierEncoder() = default;
@@ -31,6 +34,10 @@ class CourierEncoder {
   void PutString(const std::string& s);
   // SEQUENCE OF UNSPECIFIED: word length prefix then raw words (byte pairs).
   void PutSequence(BytesView data);
+
+  // Sizes of what PutString/PutSequence append, for Reserve.
+  static constexpr size_t SequenceSize(size_t n) { return 2 + n + CourierPadding(n); }
+  void Reserve(size_t n) { w_.Reserve(n); }
 
   size_t size() const { return w_.size(); }
   const Bytes& bytes() const { return w_.bytes(); }
@@ -61,9 +68,6 @@ class CourierDecoder {
  private:
   BufferReader r_;
 };
-
-// Padding needed to align `n` bytes up to a 16-bit word boundary.
-constexpr size_t CourierPadding(size_t n) { return n % 2; }
 
 }  // namespace hcs
 

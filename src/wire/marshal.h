@@ -23,7 +23,7 @@ inline int MarshalUnitsForBytes(size_t bytes) {
 
 // Record-equivalents of a self-describing value.
 inline int MarshalUnits(const WireValue& value) {
-  return MarshalUnitsForBytes(value.Encode().size());
+  return MarshalUnitsForBytes(value.EncodedSize());
 }
 
 enum class MarshalEngine {

@@ -94,26 +94,52 @@ Result<std::vector<WireField>> WireValue::AsRecord() const {
   return fields_;
 }
 
-Result<WireValue> WireValue::Field(const std::string& name) const {
+const WireValue* WireValue::FindField(const std::string& name) const {
   if (kind_ != Kind::kRecord) {
-    return ProtocolError("wire value is not a record");
+    return nullptr;
   }
   for (const auto& [field_name, value] : fields_) {
     if (field_name == name) {
-      return value;
+      return &value;
     }
+  }
+  return nullptr;
+}
+
+namespace {
+
+// Field()'s errors for a failed FindField.
+Status MissingField(const WireValue& record, const std::string& name) {
+  if (record.kind() != WireValue::Kind::kRecord) {
+    return ProtocolError("wire value is not a record");
   }
   return NotFoundError("record has no field: " + name);
 }
 
+}  // namespace
+
+Result<WireValue> WireValue::Field(const std::string& name) const {
+  const WireValue* field = FindField(name);
+  if (field == nullptr) {
+    return MissingField(*this, name);
+  }
+  return *field;
+}
+
 Result<std::string> WireValue::StringField(const std::string& name) const {
-  HCS_ASSIGN_OR_RETURN(WireValue v, Field(name));
-  return v.AsString();
+  const WireValue* field = FindField(name);
+  if (field == nullptr) {
+    return MissingField(*this, name);
+  }
+  return field->AsString();
 }
 
 Result<uint32_t> WireValue::Uint32Field(const std::string& name) const {
-  HCS_ASSIGN_OR_RETURN(WireValue v, Field(name));
-  return v.AsUint32();
+  const WireValue* field = FindField(name);
+  if (field == nullptr) {
+    return MissingField(*this, name);
+  }
+  return field->AsUint32();
 }
 
 size_t WireValue::LeafCount() const {
@@ -140,6 +166,39 @@ size_t WireValue::LeafCount() const {
     }
   }
   return 0;
+}
+
+size_t WireValue::EncodedSize() const {
+  size_t n = 4;  // the kind tag
+  switch (kind_) {
+    case Kind::kNull:
+      break;
+    case Kind::kUint32:
+      n += 4;
+      break;
+    case Kind::kUint64:
+      n += 8;
+      break;
+    case Kind::kString:
+      n += XdrEncoder::OpaqueSize(str_.size());
+      break;
+    case Kind::kBlob:
+      n += XdrEncoder::OpaqueSize(blob_.size());
+      break;
+    case Kind::kList:
+      n += 4;
+      for (const auto& v : list_) {
+        n += v.EncodedSize();
+      }
+      break;
+    case Kind::kRecord:
+      n += 4;
+      for (const auto& [name, v] : fields_) {
+        n += XdrEncoder::OpaqueSize(name.size()) + v.EncodedSize();
+      }
+      break;
+  }
+  return n;
 }
 
 void WireValue::EncodeTo(XdrEncoder* enc) const {
@@ -177,68 +236,79 @@ void WireValue::EncodeTo(XdrEncoder* enc) const {
 
 Bytes WireValue::Encode() const {
   XdrEncoder enc;
+  enc.Reserve(EncodedSize());
   EncodeTo(&enc);
   return enc.Take();
 }
 
-Result<WireValue> WireValue::DecodeFrom(XdrDecoder* dec, int depth) {
+Status WireValue::DecodeFrom(XdrDecoder* dec, WireValue* out, int depth) {
   if (depth > kMaxDepth) {
     return ProtocolError("wire value nesting too deep");
   }
   HCS_ASSIGN_OR_RETURN(uint32_t tag, dec->GetUint32());
   switch (static_cast<Kind>(tag)) {
     case Kind::kNull:
-      return WireValue();
+      return Status::Ok();
     case Kind::kUint32: {
-      HCS_ASSIGN_OR_RETURN(uint32_t v, dec->GetUint32());
-      return OfUint32(v);
+      out->kind_ = Kind::kUint32;
+      HCS_ASSIGN_OR_RETURN(out->u32_, dec->GetUint32());
+      return Status::Ok();
     }
     case Kind::kUint64: {
-      HCS_ASSIGN_OR_RETURN(uint64_t v, dec->GetUint64());
-      return OfUint64(v);
+      out->kind_ = Kind::kUint64;
+      HCS_ASSIGN_OR_RETURN(out->u64_, dec->GetUint64());
+      return Status::Ok();
     }
     case Kind::kString: {
-      HCS_ASSIGN_OR_RETURN(std::string v, dec->GetString());
-      return OfString(std::move(v));
+      out->kind_ = Kind::kString;
+      HCS_ASSIGN_OR_RETURN(out->str_, dec->GetString());
+      return Status::Ok();
     }
     case Kind::kBlob: {
-      HCS_ASSIGN_OR_RETURN(Bytes v, dec->GetOpaque());
-      return OfBlob(std::move(v));
+      out->kind_ = Kind::kBlob;
+      HCS_ASSIGN_OR_RETURN(out->blob_, dec->GetOpaque());
+      return Status::Ok();
     }
     case Kind::kList: {
       HCS_ASSIGN_OR_RETURN(uint32_t n, dec->GetUint32());
       if (n > kMaxContainerSize) {
         return ProtocolError("wire list too large");
       }
-      std::vector<WireValue> items;
-      items.reserve(n);
+      out->kind_ = Kind::kList;
+      out->list_.reserve(n);  // no reallocation below: back() stays put
       for (uint32_t i = 0; i < n; ++i) {
-        HCS_ASSIGN_OR_RETURN(WireValue v, DecodeFrom(dec, depth + 1));
-        items.push_back(std::move(v));
+        HCS_RETURN_IF_ERROR(DecodeFrom(dec, &out->list_.emplace_back(), depth + 1));
       }
-      return OfList(std::move(items));
+      return Status::Ok();
     }
     case Kind::kRecord: {
       HCS_ASSIGN_OR_RETURN(uint32_t n, dec->GetUint32());
       if (n > kMaxContainerSize) {
         return ProtocolError("wire record too large");
       }
-      std::vector<WireField> fields;
-      fields.reserve(n);
+      out->kind_ = Kind::kRecord;
+      out->fields_.reserve(n);
       for (uint32_t i = 0; i < n; ++i) {
-        HCS_ASSIGN_OR_RETURN(std::string name, dec->GetString());
-        HCS_ASSIGN_OR_RETURN(WireValue v, DecodeFrom(dec, depth + 1));
-        fields.emplace_back(std::move(name), std::move(v));
+        WireField& field = out->fields_.emplace_back();
+        HCS_ASSIGN_OR_RETURN(field.first, dec->GetString());
+        HCS_RETURN_IF_ERROR(DecodeFrom(dec, &field.second, depth + 1));
       }
-      return OfRecord(std::move(fields));
+      return Status::Ok();
     }
   }
   return ProtocolError(StrFormat("unknown wire value tag: %u", tag));
 }
 
-Result<WireValue> WireValue::Decode(const Bytes& data) {
+Result<WireValue> WireValue::DecodeFrom(XdrDecoder* dec, int depth) {
+  WireValue out;
+  HCS_RETURN_IF_ERROR(DecodeFrom(dec, &out, depth));
+  return out;
+}
+
+Result<WireValue> WireValue::Decode(BytesView data) {
   XdrDecoder dec(data);
-  HCS_ASSIGN_OR_RETURN(WireValue v, DecodeFrom(&dec));
+  WireValue v;
+  HCS_RETURN_IF_ERROR(DecodeFrom(&dec, &v));
   if (!dec.AtEnd()) {
     return ProtocolError("trailing bytes after wire value");
   }

@@ -63,7 +63,10 @@ class WireValue {
   // Record field lookup by name (first match). kNotFound when absent,
   // kProtocolError when this value is not a record.
   HCS_NODISCARD Result<WireValue> Field(const std::string& name) const;
-  // Convenience: string/uint32 field access in one step.
+  // The same lookup without copying the field: null when this value is not
+  // a record or has no such field. The pointer lives as long as this value.
+  const WireValue* FindField(const std::string& name) const;
+  // Convenience: string/uint32 field access in one step, read in place.
   HCS_NODISCARD Result<std::string> StringField(const std::string& name) const;
   HCS_NODISCARD Result<uint32_t> Uint32Field(const std::string& name) const;
 
@@ -71,11 +74,17 @@ class WireValue {
   // the marshalling cost model.
   size_t LeafCount() const;
 
-  // Wire form (XDR with type tags).
+  // Wire form (XDR with type tags). EncodedSize is the byte count EncodeTo
+  // appends, computed without encoding.
+  size_t EncodedSize() const;
   void EncodeTo(XdrEncoder* enc) const;
   Bytes Encode() const;
+  // Decodes into `*out`, which must be null (default-constructed). Each
+  // list item and record field is decoded where it will live, so a record
+  // costs no per-field temporaries. On error `*out` is partly filled.
+  HCS_NODISCARD static Status DecodeFrom(XdrDecoder* dec, WireValue* out, int depth = 0);
   HCS_NODISCARD static Result<WireValue> DecodeFrom(XdrDecoder* dec, int depth = 0);
-  HCS_NODISCARD static Result<WireValue> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<WireValue> Decode(BytesView data);
 
   // Debug rendering, e.g. {host: "fiji", port: 2049}.
   std::string ToString() const;

@@ -10,11 +10,6 @@ void XdrEncoder::PutOpaque(BytesView data) {
   w_.PutZeros(XdrPadding(data.size()));
 }
 
-void XdrEncoder::PutFixedOpaque(BytesView data) {
-  w_.PutBytes(data.data(), data.size());
-  w_.PutZeros(XdrPadding(data.size()));
-}
-
 void XdrEncoder::PutString(const std::string& s) {
   w_.PutU32(static_cast<uint32_t>(s.size()));
   w_.PutBytes(reinterpret_cast<const uint8_t*>(s.data()), s.size());
@@ -48,15 +43,9 @@ Result<BytesView> XdrDecoder::GetOpaqueView() {
   return data;
 }
 
-Result<Bytes> XdrDecoder::GetFixedOpaque(size_t n) {
-  HCS_ASSIGN_OR_RETURN(Bytes data, r_.GetBytes(n));
-  HCS_RETURN_IF_ERROR(r_.Skip(XdrPadding(n)));
-  return data;
-}
-
 Result<std::string> XdrDecoder::GetString() {
-  HCS_ASSIGN_OR_RETURN(Bytes data, GetOpaque());
-  return std::string(data.begin(), data.end());
+  HCS_ASSIGN_OR_RETURN(BytesView data, GetOpaqueView());
+  return std::string(reinterpret_cast<const char*>(data.data()), data.size());
 }
 
 }  // namespace hcs

@@ -15,6 +15,9 @@
 
 namespace hcs {
 
+// Padding needed to align `n` up to a 4-byte boundary.
+constexpr size_t XdrPadding(size_t n) { return (4 - n % 4) % 4; }
+
 class XdrEncoder {
  public:
   XdrEncoder() = default;
@@ -30,10 +33,12 @@ class XdrEncoder {
   // Variable-length opaque: 4-byte length, data, zero padding to a 4-byte
   // boundary.
   void PutOpaque(BytesView data);
-  // Fixed-length opaque: data plus padding, no length prefix.
-  void PutFixedOpaque(BytesView data);
   // Strings are encoded as opaque byte sequences.
   void PutString(const std::string& s);
+
+  // Sizes of what the Put* calls above append, for Reserve.
+  static constexpr size_t OpaqueSize(size_t n) { return 4 + n + XdrPadding(n); }
+  void Reserve(size_t n) { w_.Reserve(n); }
 
   size_t size() const { return w_.size(); }
   const Bytes& bytes() const { return w_.bytes(); }
@@ -57,7 +62,8 @@ class XdrDecoder {
   // Zero-copy variant: the view aliases the decoder's buffer and is valid
   // only while that buffer lives.
   HCS_NODISCARD Result<BytesView> GetOpaqueView();
-  HCS_NODISCARD Result<Bytes> GetFixedOpaque(size_t n);
+  // Built straight from the buffer: one allocation at most, none for a
+  // string short enough for the small-string buffer.
   HCS_NODISCARD Result<std::string> GetString();
 
   size_t remaining() const { return r_.remaining(); }
@@ -66,9 +72,6 @@ class XdrDecoder {
  private:
   BufferReader r_;
 };
-
-// Padding needed to align `n` up to a 4-byte boundary.
-constexpr size_t XdrPadding(size_t n) { return (4 - n % 4) % 4; }
 
 }  // namespace hcs
 

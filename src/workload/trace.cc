@@ -36,7 +36,7 @@ Bytes TraceHeader::Encode() const {
   return enc.Take();
 }
 
-Result<TraceHeader> TraceHeader::Decode(const Bytes& data) {
+Result<TraceHeader> TraceHeader::Decode(BytesView data) {
   XdrDecoder dec(data);
   HCS_ASSIGN_OR_RETURN(TraceHeader header, DecodeFrom(dec));
   if (dec.remaining() != 0) {
@@ -73,7 +73,7 @@ Bytes TraceEvent::Encode() const {
   return enc.Take();
 }
 
-Result<TraceEvent> TraceEvent::Decode(const Bytes& data) {
+Result<TraceEvent> TraceEvent::Decode(BytesView data) {
   XdrDecoder dec(data);
   HCS_ASSIGN_OR_RETURN(TraceEvent event, DecodeFrom(dec));
   if (dec.remaining() != 0) {
@@ -93,7 +93,7 @@ Bytes WorkloadTrace::Encode() const {
   return enc.Take();
 }
 
-Result<WorkloadTrace> WorkloadTrace::Decode(const Bytes& data) {
+Result<WorkloadTrace> WorkloadTrace::Decode(BytesView data) {
   XdrDecoder dec(data);
   WorkloadTrace trace;
   HCS_ASSIGN_OR_RETURN(trace.header, TraceHeader::DecodeFrom(dec));

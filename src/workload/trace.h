@@ -55,7 +55,7 @@ struct TraceHeader {
   void EncodeTo(XdrEncoder& enc) const;
   HCS_NODISCARD static Result<TraceHeader> DecodeFrom(XdrDecoder& dec);
   Bytes Encode() const;
-  HCS_NODISCARD static Result<TraceHeader> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<TraceHeader> Decode(BytesView data);
 };
 
 struct TraceEvent {
@@ -68,7 +68,7 @@ struct TraceEvent {
   void EncodeTo(XdrEncoder& enc) const;
   HCS_NODISCARD static Result<TraceEvent> DecodeFrom(XdrDecoder& dec);
   Bytes Encode() const;
-  HCS_NODISCARD static Result<TraceEvent> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<TraceEvent> Decode(BytesView data);
 };
 
 // Serialized size of one TraceEvent (all fixed-width fields); the decoder
@@ -82,7 +82,7 @@ struct WorkloadTrace {
   // The header's event_count is taken from events.size() at encode time,
   // so a hand-assembled trace cannot disagree with itself on the wire.
   Bytes Encode() const;
-  HCS_NODISCARD static Result<WorkloadTrace> Decode(const Bytes& data);
+  HCS_NODISCARD static Result<WorkloadTrace> Decode(BytesView data);
 };
 
 }  // namespace hcs

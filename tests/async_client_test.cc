@@ -67,7 +67,7 @@ HrpcBinding TcpBinding(uint16_t port, uint32_t program, ControlKind control) {
 TEST(AsyncClientTest, UdpFanOutCompletesEveryFuture) {
   UdpServerHost host;
   RpcServer server(ControlKind::kSunRpc, "async-echo");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -102,9 +102,9 @@ TEST(AsyncClientTest, UdpInFlightCallsShareTheWallClock) {
   constexpr int kDelayMs = 25;
   UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/8);
   RpcServer server(ControlKind::kRaw, "async-delay");
-  server.RegisterProcedure(7, 1, [kDelayMs](const Bytes& args) -> Result<Bytes> {
+  server.RegisterProcedure(7, 1, [kDelayMs](BytesView args) -> Result<Bytes> {
     std::this_thread::sleep_for(std::chrono::milliseconds(kDelayMs));
-    return args;
+    return args.ToBytes();
   });
   Result<uint16_t> port = host.ServeConcurrent(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -134,11 +134,11 @@ TEST(AsyncClientTest, UdpInFlightCallsShareTheWallClock) {
 TEST(AsyncClientTest, StreamPipeliningCompletesOutOfOrderOnOneConnection) {
   UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/8);
   RpcServer server(ControlKind::kSunRpc, "pipeline");
-  server.RegisterProcedure(9, 1, [](const Bytes& args) -> Result<Bytes> {
+  server.RegisterProcedure(9, 1, [](BytesView args) -> Result<Bytes> {
     // First byte selects the handler latency: the slow call goes out first
     // and must come back last without stalling the fast ones behind it.
     std::this_thread::sleep_for(std::chrono::milliseconds(args.empty() || args[0] != 1 ? 5 : 80));
-    return args;
+    return args.ToBytes();
   });
   Result<uint16_t> port = host.ServeStreamConcurrent(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -292,9 +292,9 @@ TEST(AsyncClientTest, PartialFrameStraddlesTwoReadsWithPipelinedReplyBehind) {
 TEST(AsyncClientTest, PoolExhaustionQueuesAttemptsAndStillCompletes) {
   UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/8);
   RpcServer server(ControlKind::kSunRpc, "pool");
-  server.RegisterProcedure(9, 1, [](const Bytes& args) -> Result<Bytes> {
+  server.RegisterProcedure(9, 1, [](BytesView args) -> Result<Bytes> {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return args;
+    return args.ToBytes();
   });
   Result<uint16_t> port = host.ServeStreamConcurrent(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -327,7 +327,7 @@ TEST(AsyncClientTest, PoolExhaustionQueuesAttemptsAndStillCompletes) {
 TEST(AsyncClientTest, IdleConnectionIsReapedAndNextCallRedials) {
   UdpServerHost host;
   RpcServer server(ControlKind::kSunRpc, "reap");
-  server.RegisterProcedure(9, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(9, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.ServeStream(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -361,7 +361,7 @@ TEST(AsyncClientTest, IdleConnectionIsReapedAndNextCallRedials) {
 TEST(AsyncClientTest, AggressiveReapingNeverFailsInFlightCalls) {
   UdpServerHost host;
   RpcServer server(ControlKind::kSunRpc, "reap-race");
-  server.RegisterProcedure(9, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(9, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.ServeStream(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -394,7 +394,7 @@ TEST(AsyncClientTest, AggressiveReapingNeverFailsInFlightCalls) {
 TEST(AsyncClientTest, ChannellessTransportCompletesInline) {
   LoopbackTransport loopback;
   RpcServer server(ControlKind::kSunRpc, "loopback-echo");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   ASSERT_TRUE(loopback.Register(9000, &server).ok());
 
   RpcClient client(nullptr, "localclient", &loopback);
@@ -418,7 +418,7 @@ TEST(AsyncClientTest, ResolveManyIssuesRemoteFindNsmConcurrently) {
   UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/8);
   RpcServer hns_server(ControlKind::kRaw, "hns-server");
   hns_server.RegisterProcedure(
-      kHnsProgram, kHnsProcFindNsm, [kDelayMs](const Bytes& args) -> Result<Bytes> {
+      kHnsProgram, kHnsProcFindNsm, [kDelayMs](BytesView args) -> Result<Bytes> {
         HCS_ASSIGN_OR_RETURN(FindNsmRequest request, FindNsmRequest::Decode(args));
         std::this_thread::sleep_for(std::chrono::milliseconds(kDelayMs));
         FindNsmResponse response;
@@ -483,7 +483,7 @@ TEST(AsyncClientTest, ResolveManyReportsPartialFailurePerName) {
   UdpServerHost host;
   RpcServer hns_server(ControlKind::kRaw, "hns-server");
   hns_server.RegisterProcedure(
-      kHnsProgram, kHnsProcFindNsm, [](const Bytes& args) -> Result<Bytes> {
+      kHnsProgram, kHnsProcFindNsm, [](BytesView args) -> Result<Bytes> {
         HCS_ASSIGN_OR_RETURN(FindNsmRequest request, FindNsmRequest::Decode(args));
         FindNsmResponse response;
         response.nsm_name = "nsm-" + request.context;
@@ -570,7 +570,7 @@ class DelayedMetaBind {
       : host_(ServeMode::kReactor, /*reactor_workers=*/8),
         server_(ControlKind::kRaw, "delayed-meta-bind") {
     server_.RegisterProcedure(
-        kBindProgram, kBindProcQuery, [this, delay_ms](const Bytes& args) -> Result<Bytes> {
+        kBindProgram, kBindProcQuery, [this, delay_ms](BytesView args) -> Result<Bytes> {
           ++queries_;
           HCS_ASSIGN_OR_RETURN(BindQueryRequest request, BindQueryRequest::Decode(args));
           std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
@@ -664,7 +664,7 @@ int BindBlackHole(uint16_t* port_out) {
 TEST(AsyncClientTest, SyncUdpCallBypassesTheEngine) {
   UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/2);
   RpcServer server(ControlKind::kSunRpc, "sync-echo");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
   UdpTransport transport;
@@ -847,7 +847,7 @@ TEST(AsyncClientTest, DuplicateReplyAfterASuccessIsNeverTheNextCallsAnswer) {
 void OnCompleteFiresExactlyOnceUnderRaces(ServeMode mode) {
   UdpServerHost host(mode, /*reactor_workers=*/8);
   RpcServer server(ControlKind::kSunRpc, "stress-echo");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
   uint16_t hole_port = 0;
@@ -932,7 +932,7 @@ TEST(LoopAffinityDeathTest, DebugModeCompiledOut) {
 void WaitOnLoopThread(ServeMode mode) {
   UdpServerHost host(mode, /*reactor_workers=*/4);
   RpcServer server(ControlKind::kSunRpc, "wait-on-loop");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -965,7 +965,7 @@ void WaitOnLoopThread(ServeMode mode) {
 void SyncCallOnLoopThread() {
   UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/2);
   RpcServer server(ControlKind::kSunRpc, "call-on-loop");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -995,7 +995,7 @@ void SyncCallOnLoopThread() {
 void TouchLoopOwnedStateOffLoop(ServeMode mode) {
   UdpServerHost host(mode, /*reactor_workers=*/4);
   RpcServer server(ControlKind::kSunRpc, "assert-loop");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   ASSERT_TRUE(host.Serve(&server, 0).ok());
 
   ReactorOptions options;

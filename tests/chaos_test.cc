@@ -328,7 +328,7 @@ TEST_P(ChaosServeModeTest, EchoSurvivesThirtyPercentLoss) {
   uint64_t seed = AnnounceSeed("EchoSurvivesThirtyPercentLoss");
   UdpServerHost host(GetParam());
   RpcServer server(ControlKind::kRaw, "chaos-echo");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -367,9 +367,9 @@ TEST(ChaosTest, DuplicateStormDeliversEveryReplyToItsCall) {
   UdpServerHost host;
   std::atomic<int> handled{0};
   RpcServer server(ControlKind::kRaw, "chaos-dup");
-  server.RegisterProcedure(7, 1, [&handled](const Bytes& args) -> Result<Bytes> {
+  server.RegisterProcedure(7, 1, [&handled](BytesView args) -> Result<Bytes> {
     ++handled;
-    return args;
+    return args.ToBytes();
   });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -405,7 +405,7 @@ TEST(ChaosTest, ReorderAndDelayKeepRepliesMatchedToRequests) {
   // The handler answers with the trace id the request traveled under: the
   // client can then check that every reply belongs to its own request even
   // while the injector shuffles and delays traffic.
-  server.RegisterProcedure(7, 1, [](const Bytes&) -> Result<Bytes> {
+  server.RegisterProcedure(7, 1, [](BytesView) -> Result<Bytes> {
     uint64_t trace = CurrentRequestContext().trace_id;
     Bytes out(8);
     for (int i = 0; i < 8; ++i) {
@@ -480,7 +480,7 @@ TEST_P(ChaosServeModeTest, CorruptAndDropInboundStormStaysLive) {
 
   UdpServerHost host(GetParam());
   RpcServer server(ControlKind::kRaw, "chaos-inbound");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -527,7 +527,7 @@ TEST(ChaosTest, CorruptFrameStormOverStreamStaysLive) {
 
   UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "chaos-stream");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.ServeStream(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -871,7 +871,7 @@ class FakeMetaBind {
  public:
   explicit FakeMetaBind(int delay_ms) : server_(ControlKind::kRaw, "chaos-meta-bind") {
     server_.RegisterProcedure(
-        kBindProgram, kBindProcQuery, [this, delay_ms](const Bytes& args) -> Result<Bytes> {
+        kBindProgram, kBindProcQuery, [this, delay_ms](BytesView args) -> Result<Bytes> {
           ++queries_;
           HCS_ASSIGN_OR_RETURN(BindQueryRequest request, BindQueryRequest::Decode(args));
           if (delay_ms > 0) {

@@ -318,7 +318,7 @@ OverlapProbe ProbeHandlerOverlap(bool concurrent) {
   std::atomic<int> max_in_flight{0};
   std::atomic<int> overlapping{0};
   RpcServer server(ControlKind::kRaw, "overlap-probe");
-  server.RegisterProcedure(7, 1, [&](const Bytes& args) -> Result<Bytes> {
+  server.RegisterProcedure(7, 1, [&](BytesView args) -> Result<Bytes> {
     int now = in_flight.fetch_add(1) + 1;
     if (now > 1) {
       overlapping.fetch_add(1);
@@ -328,7 +328,7 @@ OverlapProbe ProbeHandlerOverlap(bool concurrent) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     in_flight.fetch_sub(1);
-    return args;
+    return args.ToBytes();
   });
   Result<uint16_t> port = concurrent ? host.ServeConcurrent(&server, 0) : host.Serve(&server, 0);
   EXPECT_TRUE(port.ok()) << port.status();

@@ -115,7 +115,7 @@ void Sweep(const std::string& label, const Bytes& good,
 }
 
 // Roundtrip adapter for the common shape: Bytes Encode() const +
-// static Result<T> Decode(const Bytes&).
+// static Result<T> Decode(BytesView).
 template <typename T>
 Roundtrip ByteCodec() {
   return [](const Bytes& data) -> Result<Bytes> {

@@ -28,8 +28,8 @@ class ExportTest : public ::testing::Test {
 TEST_F(ExportTest, SunServiceExportsThenImportsEverywhere) {
   // A brand-new service comes up on tahiti and exports itself natively.
   auto server = std::make_unique<RpcServer>(ControlKind::kSunRpc, "CalendarService");
-  server->RegisterProcedure(510001, 1, [](const Bytes& args) -> Result<Bytes> {
-    return args;
+  server->RegisterProcedure(510001, 1, [](BytesView args) -> Result<Bytes> {
+    return args.ToBytes();
   });
   RpcServer* raw = bed_.world().OwnService(std::move(server));
 
@@ -91,7 +91,7 @@ TEST_F(ExportTest, PortCollisionRollsBackThePublication) {
 TEST_F(ExportTest, CourierServiceExportsThroughTheClearinghouse) {
   auto server = std::make_unique<RpcServer>(ControlKind::kCourier, "ScanService");
   server->RegisterProcedure(510010, 1,
-                            [](const Bytes& args) -> Result<Bytes> { return args; });
+                            [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   RpcServer* raw = bed_.world().OwnService(std::move(server));
 
   ChClient ch_client(&rpc_, kChServerHost, TestbedCredentials());

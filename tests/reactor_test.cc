@@ -72,7 +72,7 @@ TEST(ReactorTest, StartStopIdempotentAndRestartable) {
 TEST(ReactorTest, ServeAfterStopAllRestartsTheReactor) {
   UdpServerHost host(ServeMode::kReactor);
   RpcServer server(ControlKind::kRaw, "restart-echo");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
 
   UdpTransport transport;
   RpcClient client(/*world=*/nullptr, "localclient", &transport);
@@ -100,8 +100,8 @@ TEST(ReactorTest, EchoOverReactorAllControlProtocols) {
   for (ControlKind kind : {ControlKind::kSunRpc, ControlKind::kCourier, ControlKind::kRaw}) {
     SCOPED_TRACE(ControlKindName(kind));
     auto server = std::make_unique<RpcServer>(kind, "reactor-echo");
-    server->RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> {
-      Bytes out = args;
+    server->RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> {
+      Bytes out = args.ToBytes();
       out.push_back(0x42);
       return out;
     });
@@ -266,8 +266,8 @@ TEST(ReactorTest, FindNsmStormAgainstReactorServedMetaStore) {
 TEST(ReactorTest, SerialHandlerNestedCallCompletesWithDefaultWorkers) {
   UdpServerHost host(ServeMode::kReactor);
   RpcServer backend(ControlKind::kRaw, "nested-backend");
-  backend.RegisterProcedure(8, 1, [](const Bytes& args) -> Result<Bytes> {
-    Bytes out = args;
+  backend.RegisterProcedure(8, 1, [](BytesView args) -> Result<Bytes> {
+    Bytes out = args.ToBytes();
     out.push_back(0xbe);
     return out;
   });
@@ -277,7 +277,7 @@ TEST(ReactorTest, SerialHandlerNestedCallCompletesWithDefaultWorkers) {
   UdpTransport nested_transport;
   RpcClient nested_client(/*world=*/nullptr, "fronthost", &nested_transport);
   RpcServer front(ControlKind::kRaw, "nested-front");
-  front.RegisterProcedure(7, 1, [&](const Bytes& args) -> Result<Bytes> {
+  front.RegisterProcedure(7, 1, [&](BytesView args) -> Result<Bytes> {
     return nested_client.Call(LoopbackBinding(*backend_port, 8, ControlKind::kRaw), 1, args);
   });
   Result<uint16_t> front_port = host.Serve(&front, 0);
@@ -301,11 +301,11 @@ TEST(ReactorTest, StopWithHandlersMidFlightJoinsCleanly) {
   std::atomic<int> entered{0};
   std::atomic<int> finished{0};
   RpcServer slow(ControlKind::kRaw, "slow-concurrent");
-  slow.RegisterProcedure(7, 1, [&](const Bytes& args) -> Result<Bytes> {
+  slow.RegisterProcedure(7, 1, [&](BytesView args) -> Result<Bytes> {
     entered.fetch_add(1);
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     finished.fetch_add(1);
-    return args;
+    return args.ToBytes();
   });
   Result<uint16_t> port = host.ServeConcurrent(&slow, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -374,9 +374,9 @@ TEST(ReactorTest, ClientShedsSpentBudgetBeforeSending) {
   UdpServerHost host(ServeMode::kReactor);
   std::atomic<int> invocations{0};
   RpcServer server(ControlKind::kRaw, "never-called");
-  server.RegisterProcedure(7, 1, [&](const Bytes& args) -> Result<Bytes> {
+  server.RegisterProcedure(7, 1, [&](BytesView args) -> Result<Bytes> {
     ++invocations;
-    return args;
+    return args.ToBytes();
   });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -404,10 +404,10 @@ TEST(ReactorTest, QueueDelayCountsAgainstTheBudget) {
   UdpServerHost host(ServeMode::kReactor);
   std::atomic<int> invocations{0};
   RpcServer server(ControlKind::kRaw, "slow-serial");
-  server.RegisterProcedure(7, 1, [&](const Bytes& args) -> Result<Bytes> {
+  server.RegisterProcedure(7, 1, [&](BytesView args) -> Result<Bytes> {
     ++invocations;
     std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    return args;
+    return args.ToBytes();
   });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -442,9 +442,9 @@ TEST(ReactorTest, AmbientContextPropagatesAcrossServerHop) {
   UdpServerHost host(ServeMode::kReactor);
   std::atomic<int> backend_invocations{0};
   RpcServer backend(ControlKind::kRaw, "backend");
-  backend.RegisterProcedure(8, 1, [&](const Bytes& args) -> Result<Bytes> {
+  backend.RegisterProcedure(8, 1, [&](BytesView args) -> Result<Bytes> {
     ++backend_invocations;
-    return args;
+    return args.ToBytes();
   });
   Result<uint16_t> backend_port = host.Serve(&backend, 0);
   ASSERT_TRUE(backend_port.ok()) << backend_port.status();
@@ -452,7 +452,7 @@ TEST(ReactorTest, AmbientContextPropagatesAcrossServerHop) {
   UdpTransport nested_transport;
   RpcClient nested_client(/*world=*/nullptr, "fronthost", &nested_transport);
   RpcServer front(ControlKind::kRaw, "front");
-  front.RegisterProcedure(7, 1, [&](const Bytes& args) -> Result<Bytes> {
+  front.RegisterProcedure(7, 1, [&](BytesView args) -> Result<Bytes> {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     return nested_client.Call(LoopbackBinding(*backend_port, 8, ControlKind::kRaw), 1, args);
   });
@@ -529,7 +529,7 @@ class FlakyService : public SimService {
 TEST(ReactorTest, BudgetedCallRetriesThroughTransientLoss) {
   UdpServerHost host(ServeMode::kReactor);
   RpcServer server(ControlKind::kRaw, "flaky-echo");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   FlakyService flaky(&server, /*failures=*/2);
   Result<uint16_t> port = host.Serve(&flaky, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -551,7 +551,7 @@ TEST(ReactorTest, BudgetedCallRetriesThroughTransientLoss) {
 TEST(ReactorTest, UnbudgetedCallStaysSingleAttempt) {
   UdpServerHost host(ServeMode::kReactor);
   RpcServer server(ControlKind::kRaw, "flaky-once");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   FlakyService flaky(&server, /*failures=*/1);
   Result<uint16_t> port = host.Serve(&flaky, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -575,7 +575,7 @@ TEST(ReactorTest, SingleflightFollowerHonorsItsOwnDeadline) {
   UdpServerHost host(ServeMode::kReactor);
   RpcServer slow_bind(ControlKind::kRaw, "slow-meta");
   slow_bind.RegisterProcedure(
-      kBindProgram, kBindProcQuery, [](const Bytes&) -> Result<Bytes> {
+      kBindProgram, kBindProcQuery, [](BytesView) -> Result<Bytes> {
         std::this_thread::sleep_for(std::chrono::milliseconds(400));
         return UnavailableError("never answers in time");
       });

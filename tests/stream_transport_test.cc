@@ -29,7 +29,7 @@ class StreamTransportTest : public ::testing::Test {
     ASSERT_TRUE(world_.network().AddHost("client", MachineType::kSun, OsType::kUnix).ok());
     ASSERT_TRUE(world_.network().AddHost("server", MachineType::kSun, OsType::kUnix).ok());
     server_ = std::make_unique<RpcServer>(ControlKind::kSunRpc, "stream-test");
-    server_->RegisterProcedure(9, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+    server_->RegisterProcedure(9, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
     ASSERT_TRUE(world_.RegisterService("server", 2000, server_.get()).ok());
   }
 
@@ -102,7 +102,7 @@ TEST_F(StreamTransportTest, ConnectionsArePerEndpointAndDirection) {
   ASSERT_TRUE(world_.network().AddHost("other", MachineType::kSun, OsType::kUnix).ok());
   auto second_server = std::make_unique<RpcServer>(ControlKind::kSunRpc, "s2");
   second_server->RegisterProcedure(9, 1,
-                                   [](const Bytes& args) -> Result<Bytes> { return args; });
+                                   [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   ASSERT_TRUE(world_.RegisterService("server", 2001, second_server.get()).ok());
 
   StreamNetTransport stream(&world_);

@@ -47,8 +47,8 @@ TEST(UdpTransportTest, EndToEndEchoOverAllControlProtocols) {
   for (ControlKind kind : {ControlKind::kSunRpc, ControlKind::kCourier, ControlKind::kRaw}) {
     SCOPED_TRACE(ControlKindName(kind));
     auto server = std::make_unique<RpcServer>(kind, "udp-echo");
-    server->RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> {
-      Bytes out = args;
+    server->RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> {
+      Bytes out = args.ToBytes();
       out.push_back(0x42);
       return out;
     });
@@ -69,7 +69,7 @@ TEST(UdpTransportTest, EndToEndEchoOverAllControlProtocols) {
 TEST(UdpTransportTest, ErrorsRoundTripOverRealSockets) {
   UdpServerHost host;
   RpcServer server(ControlKind::kSunRpc, "udp-fail");
-  server.RegisterProcedure(7, 1, [](const Bytes&) -> Result<Bytes> {
+  server.RegisterProcedure(7, 1, [](BytesView) -> Result<Bytes> {
     return NotFoundError("nothing here");
   });
   Result<uint16_t> port = host.Serve(&server, 0);
@@ -139,8 +139,8 @@ TEST(UdpTransportTest, BlockingExchangeIsCountedOnce) {
 TEST(UdpTransportTest, ConcurrentClientsAreServedCorrectly) {
   UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "udp-concurrent");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> {
-    return args;  // echo
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> {
+    return args.ToBytes();  // echo
   });
   Result<uint16_t> port = host.Serve(&server, 0);
   ASSERT_TRUE(port.ok()) << port.status();
@@ -179,7 +179,7 @@ class FakeMetaBind {
   explicit FakeMetaBind(int delay_ms)
       : server_(ControlKind::kRaw, "fake-meta-bind") {
     server_.RegisterProcedure(
-        kBindProgram, kBindProcQuery, [this, delay_ms](const Bytes& args) -> Result<Bytes> {
+        kBindProgram, kBindProcQuery, [this, delay_ms](BytesView args) -> Result<Bytes> {
           ++queries_;
           HCS_ASSIGN_OR_RETURN(BindQueryRequest request, BindQueryRequest::Decode(args));
           std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));

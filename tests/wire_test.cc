@@ -84,10 +84,8 @@ TEST(XdrTest, OpaqueRoundTrip) {
   Bytes payload{0, 1, 2, 3, 4, 5, 6};
   XdrEncoder enc;
   enc.PutOpaque(payload);
-  enc.PutFixedOpaque(payload);
   XdrDecoder dec(enc.bytes());
   EXPECT_EQ(dec.GetOpaque().value(), payload);
-  EXPECT_EQ(dec.GetFixedOpaque(payload.size()).value(), payload);
   EXPECT_TRUE(dec.AtEnd());
 }
 

@@ -473,7 +473,7 @@ TEST(WorkloadEngineTest, TraceReplayReproducesTheRecordedRun) {
 TEST(WorkloadDriverTest, AsyncWindowDriverMatchesThreadPerCallSemantics) {
   UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "runtime-sweep");
-  server.RegisterProcedure(7, 1, [](const Bytes& args) -> Result<Bytes> { return args; });
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   Result<uint16_t> port = host.Serve(&server, 0);
   if (!port.ok()) {
     GTEST_SKIP() << "cannot bind a UDP port: " << port.status();
