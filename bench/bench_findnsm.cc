@@ -142,15 +142,16 @@ void RunComposite(double record_cache_warm_ms) {
 
 // E1-R: the serving runtime under concurrent FindNSM-shaped load, measured
 // in wall-clock over real loopback sockets. One RPC endpoint whose handler
-// costs ~1 ms (the warm remote-NSM exchange of E1), hosted two ways:
-//   (a) thread-per-endpoint — the seed model, one serve thread, so the
-//       endpoint processes at most one request at a time;
-//   (b) the shared epoll reactor with concurrent dispatch, fanning the same
-//       endpoint across the worker pool.
+// costs ~1 ms (the warm remote-NSM exchange of E1), hosted two ways on
+// the shared epoll reactor:
+//   (a) a serial endpoint (Serve), which processes at most one request at a
+//       time — the contract a service that is not thread-safe gets;
+//   (b) a concurrent endpoint (ServeConcurrent), fanning the same endpoint
+//       across the worker pool.
 // Each client thread keeps one budgeted request in flight; with 8+ clients
 // the reactor must clear >= 2x the baseline's throughput.
 void RunRuntimeSweep() {
-  PrintHeader("E1-R: service runtime sweep, thread-per-endpoint vs epoll reactor (wall-clock)");
+  PrintHeader("E1-R: service runtime sweep, serial vs concurrent reactor endpoint (wall-clock)");
 
   RpcServer server(ControlKind::kRaw, "findnsm-like");
   server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> {
@@ -162,10 +163,10 @@ void RunRuntimeSweep() {
   const std::vector<int> kClients = {1, 2, 4, 8, 16};
   constexpr int kRequestsPerClient = 100;
   std::vector<SweepPoint> baseline =
-      SweepRuntime(ServeMode::kThreadPerEndpoint, &server, kClients, kRequestsPerClient);
+      SweepRuntime(/*concurrent=*/false, &server, kClients, kRequestsPerClient);
   std::vector<SweepPoint> reactor =
-      SweepRuntime(ServeMode::kReactor, &server, kClients, kRequestsPerClient);
-  PrintSweepTable("thread-per-endpoint", "reactor (concurrent)", baseline, reactor);
+      SweepRuntime(/*concurrent=*/true, &server, kClients, kRequestsPerClient);
+  PrintSweepTable("reactor (serial)", "reactor (concurrent)", baseline, reactor);
 
   for (size_t i = 0; i < kClients.size(); ++i) {
     if (kClients[i] >= 8 && baseline[i].throughput_qps > 0 &&

@@ -1,8 +1,7 @@
 // Real-socket service-runtime sweep shared by bench_findnsm and
-// bench_workload: the same RPC service is hosted once under the seed's
-// thread-per-endpoint model and once on the shared epoll reactor
-// (concurrent dispatch), then driven by N client threads with one request
-// in flight each. The client drivers themselves (thread-per-call and the
+// bench_workload: the same RPC service is hosted on the shared epoll
+// reactor once as a serial endpoint and once with concurrent dispatch,
+// then driven by N client threads with one request in flight each. The client drivers themselves (thread-per-call and the
 // async burst-refill window driver) live in src/workload/driver.h, shared
 // with the workload scenario suite; this header keeps only the
 // bench-specific hosting and table-printing wrappers.
@@ -20,12 +19,12 @@
 
 namespace hcs {
 
-// Hosts `server` under `mode` (reactor hosts use concurrent dispatch — the
-// handler must be thread-safe) and runs the client sweep against it. The
+// Hosts `server` as a serial or a concurrent endpoint (concurrent dispatch
+// needs a thread-safe handler) and runs the client sweep against it. The
 // worker pool is sized for the sweep's peak concurrency rather than the
 // core count: the handlers model downstream I/O waits, so workers park in
 // the kernel and more of them are nearly free.
-inline std::vector<SweepPoint> SweepRuntime(ServeMode mode, RpcServer* server,
+inline std::vector<SweepPoint> SweepRuntime(bool concurrent, RpcServer* server,
                                             const std::vector<int>& client_counts,
                                             int requests_per_client) {
   int peak = 1;
@@ -33,10 +32,8 @@ inline std::vector<SweepPoint> SweepRuntime(ServeMode mode, RpcServer* server,
     peak = std::max(peak, clients);
   }
   std::vector<SweepPoint> points;
-  UdpServerHost host(mode, /*reactor_workers=*/peak);
-  Result<uint16_t> port = mode == ServeMode::kReactor
-                              ? host.ServeConcurrent(server, 0)
-                              : host.Serve(server, 0);
+  UdpServerHost host(/*reactor_workers=*/peak);
+  Result<uint16_t> port = concurrent ? host.ServeConcurrent(server, 0) : host.Serve(server, 0);
   if (!port.ok()) {
     std::fprintf(stderr, "serve failed: %s\n", port.status().ToString().c_str());
     std::abort();

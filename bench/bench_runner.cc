@@ -20,8 +20,13 @@
 #include <vector>
 
 #include "bench/bench_reactor_util.h"
+#include "src/common/strings.h"
 #include "src/rpc/mmsg.h"
 #include "src/rpc/server.h"
+
+#ifndef HCS_BUILD_TYPE
+#define HCS_BUILD_TYPE "unknown"
+#endif
 
 namespace hcs {
 namespace {
@@ -34,7 +39,7 @@ struct Baseline {
 
 struct ScenarioResult {
   std::string name;
-  ServeMode mode = ServeMode::kReactor;
+  bool concurrent = true;  // the endpoint's dispatch; serial rows say so
   int udp_batch = 0;
   int clients = 0;
   int requests = 0;  // nominal total (clients * requests_per_client)
@@ -44,37 +49,45 @@ struct ScenarioResult {
   Baseline baseline;  // label empty = no checked floor (comparison row)
 };
 
-// Hosts `server` on the reactor with concurrent dispatch and the given
-// batch size, then drives the closed-loop client sweep. One scenario, one
-// host: the UdpIoSnapshot delta isolates this scenario's traffic, and
-// dropping the blocking client exchanges' share (the exchange_* counts)
-// leaves the server-side syscalls.
+// Serves `server` on `host`, as a concurrent endpoint or a serial one;
+// aborts the bench when the socket cannot be served.
+uint16_t ServeOrDie(UdpServerHost& host, RpcServer* server, bool concurrent) {
+  Result<uint16_t> port = concurrent ? host.ServeConcurrent(server, 0) : host.Serve(server, 0);
+  if (!port.ok()) {
+    std::fprintf(stderr, "serve failed: %s\n", port.status().ToString().c_str());
+    std::abort();
+  }
+  return *port;
+}
+
+// Hosts `server` on the reactor with the given batch size, then drives the
+// closed-loop client sweep. A concurrent endpoint gets one worker per
+// client in flight; a serial one is drained in batches by a single worker.
+// One scenario, one host: the UdpIoSnapshot delta isolates this
+// scenario's traffic, and dropping the blocking client exchanges' share
+// (the exchange_* counts) leaves the server-side syscalls.
 ScenarioResult RunScenario(const std::string& name, RpcServer* server, int udp_batch,
                            int clients, int requests_per_client, Baseline baseline,
-                           ServeMode mode = ServeMode::kReactor) {
+                           bool concurrent = true) {
   std::fprintf(stderr, "  running %-22s batch=%-2d clients=%-2d reqs=%d\n", name.c_str(),
                udp_batch, clients, clients * requests_per_client);
   ScenarioResult result;
   result.name = name;
-  result.mode = mode;
+  result.concurrent = concurrent;
   result.udp_batch = udp_batch;
   result.clients = clients;
   result.requests = clients * requests_per_client;
   result.baseline = std::move(baseline);
 
-  UdpServerHost host(mode, /*reactor_workers=*/clients, udp_batch);
-  Result<uint16_t> port = host.ServeConcurrent(server, 0);
-  if (!port.ok()) {
-    std::fprintf(stderr, "serve failed: %s\n", port.status().ToString().c_str());
-    std::abort();
-  }
+  UdpServerHost host(/*reactor_workers=*/concurrent ? clients : 1, udp_batch);
+  uint16_t port = ServeOrDie(host, server, concurrent);
   // Warm the path (thread-local client sockets, scratch buffers, server
   // receive batches) outside the measured window.
   // hcs:ignore-status(warmup sweep; the measured run below is what counts)
-  (void)DriveClients(*port, clients, 20);
+  (void)DriveClients(port, clients, 20);
 
   result.before = SnapshotUdpIoCounters();
-  result.point = DriveClients(*port, clients, requests_per_client);
+  result.point = DriveClients(port, clients, requests_per_client);
   result.after = SnapshotUdpIoCounters();
   host.StopAll();
   return result;
@@ -88,28 +101,24 @@ ScenarioResult RunScenario(const std::string& name, RpcServer* server, int udp_b
 // the wire — client and server — unlike the thread-per-call rows.
 ScenarioResult RunScenarioAsync(const std::string& name, RpcServer* server, int udp_batch,
                                 int window, int requests_per_slot, Baseline baseline,
-                                ServeMode mode = ServeMode::kReactor) {
+                                bool concurrent = true) {
   std::fprintf(stderr, "  running %-22s batch=%-2d window=%-2d reqs=%d (async client)\n",
                name.c_str(), udp_batch, window, window * requests_per_slot);
   ScenarioResult result;
   result.name = name;
-  result.mode = mode;
+  result.concurrent = concurrent;
   result.udp_batch = udp_batch;
   result.clients = window;
   result.requests = window * requests_per_slot;
   result.baseline = std::move(baseline);
 
-  UdpServerHost host(mode, /*reactor_workers=*/window, udp_batch);
-  Result<uint16_t> port = host.ServeConcurrent(server, 0);
-  if (!port.ok()) {
-    std::fprintf(stderr, "serve failed: %s\n", port.status().ToString().c_str());
-    std::abort();
-  }
+  UdpServerHost host(/*reactor_workers=*/concurrent ? window : 1, udp_batch);
+  uint16_t port = ServeOrDie(host, server, concurrent);
   // hcs:ignore-status(warmup sweep; the measured run below is what counts)
-  (void)DriveClientsAsync(*port, window, window * 20);
+  (void)DriveClientsAsync(port, window, window * 20);
 
   result.before = SnapshotUdpIoCounters();
-  result.point = DriveClientsAsync(*port, window, result.requests);
+  result.point = DriveClientsAsync(port, window, result.requests);
   result.after = SnapshotUdpIoCounters();
   host.StopAll();
   return result;
@@ -123,8 +132,7 @@ void AppendJsonScenario(std::string* out, const ScenarioResult& r, bool last) {
   };
   add("    {\n");
   add("      \"name\": \"%s\",\n", r.name.c_str());
-  add("      \"serve_mode\": \"%s\",\n",
-      r.mode == ServeMode::kReactor ? "reactor" : "thread_per_endpoint");
+  add("      \"serve_mode\": \"%s\",\n", r.concurrent ? "reactor" : "reactor_serial");
   add("      \"udp_batch\": %d,\n", r.udp_batch);
   add("      \"clients\": %d,\n", r.clients);
   add("      \"requests\": %d,\n", r.requests);
@@ -229,27 +237,29 @@ int Main(int argc, char** argv) {
 
   // The async client core: 64 blocking threads with one call each vs one
   // thread keeping 64 CallAsync requests in flight, same echo service. Both
-  // rows host the echo under the seed's thread-per-endpoint model (one
-  // server thread, batched I/O) so the comparison isolates the CLIENT
-  // runtimes: the paper-era server is fixed, only the client stack differs.
+  // rows host the echo on one serial endpoint (one worker, batched I/O) so
+  // the comparison isolates the CLIENT runtimes: the server is fixed, only
+  // the client stack differs.
   // Longer rows than the floor scenarios (3000 requests per slot): the 2x
   // claim is the PR's headline and per-run scheduler noise on a 1-CPU box
   // is large, so both sides get enough wall-clock to average it out.
   ScenarioResult tpc = RunScenario("client_thread_per_call_64", &echo, kMaxUdpBatch, 64,
-                                   3000 / scale, {}, ServeMode::kThreadPerEndpoint);
+                                   3000 / scale, {}, /*concurrent=*/false);
   double tpc_qps = tpc.point.throughput_qps;
   results.push_back(std::move(tpc));
   results.push_back(RunScenarioAsync(
       "client_async_64", &echo, kMaxUdpBatch, 64, 3000 / scale,
       {"this snapshot's client_thread_per_call_64", tpc_qps, 2.0},
-      ServeMode::kThreadPerEndpoint));
+      /*concurrent=*/false));
 
   std::string json;
   json.append("{\n");
   json.append("  \"schema_version\": 1,\n");
   json.append("  \"bench\": \"BENCH_8\",\n");
   json.append("  \"generated_by\": \"bench/bench_runner\",\n");
-  json.append("  \"environment\": \"1-CPU container, loopback UDP, wall-clock\",\n");
+  json.append(StrFormat("  \"environment\": \"%u hardware threads, %s build, loopback UDP, "
+                        "wall-clock\",\n",
+                        std::thread::hardware_concurrency(), HCS_BUILD_TYPE));
   json.append("  \"scenarios\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     AppendJsonScenario(&json, results[i], i + 1 == results.size());

@@ -219,12 +219,12 @@ void Run() {
 // E5 mix is bimodal in service time — most queries hit warm caches (fast),
 // a tail misses and pays the remote fetch (slow). This section hosts one
 // endpoint with that service-time profile (9 in 10 requests ~0.2 ms, 1 in
-// 10 ~2 ms) under thread-per-endpoint and under the reactor's concurrent
-// dispatch, and sweeps concurrent clients. Under the serial baseline every
-// slow request head-of-line-blocks the fast ones, which is exactly what the
-// p99 column shows.
+// 10 ~2 ms) as a serial reactor endpoint and as a concurrent one, and
+// sweeps concurrent clients. Under the serial baseline every slow request
+// head-of-line-blocks the fast ones, which is exactly what the p99 column
+// shows.
 void RunRuntimeSweep() {
-  PrintHeader("E5-R: skewed service times under both runtimes (wall-clock)");
+  PrintHeader("E5-R: skewed service times, serial vs concurrent endpoint (wall-clock)");
 
   std::atomic<uint64_t> sequence{0};
   RpcServer server(ControlKind::kRaw, "workload-like");
@@ -239,10 +239,10 @@ void RunRuntimeSweep() {
   const std::vector<int> kClients = {1, 4, 8, 16};
   constexpr int kRequestsPerClient = 150;
   std::vector<SweepPoint> baseline =
-      SweepRuntime(ServeMode::kThreadPerEndpoint, &server, kClients, kRequestsPerClient);
+      SweepRuntime(/*concurrent=*/false, &server, kClients, kRequestsPerClient);
   std::vector<SweepPoint> reactor =
-      SweepRuntime(ServeMode::kReactor, &server, kClients, kRequestsPerClient);
-  PrintSweepTable("thread-per-endpoint", "reactor (concurrent)", baseline, reactor);
+      SweepRuntime(/*concurrent=*/true, &server, kClients, kRequestsPerClient);
+  PrintSweepTable("reactor (serial)", "reactor (concurrent)", baseline, reactor);
   std::printf("  the reactor keeps fast (cache-hit) queries out from behind slow (miss)\n");
   std::printf("  ones, so the p50 stays near the hit cost while the serial baseline's\n");
   std::printf("  whole distribution drifts toward the miss cost as load rises.\n");

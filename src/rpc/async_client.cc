@@ -518,7 +518,7 @@ void AsyncClientEngine::FlushUdpOutbox() {
 void AsyncClientEngine::OnUdpReadable() {
   HCS_ASSERT_LOOP(&reactor_);
   while (true) {
-    int count = udp_rx_->Recv(udp_fd_, /*wait_for_one=*/false);
+    int count = udp_rx_->Recv(udp_fd_);
     if (count <= 0) {
       // 0: drained (EAGAIN). -1: transient socket error (ICMP-induced) —
       // either way level-triggered epoll re-reports genuine readiness.

@@ -14,10 +14,9 @@
 //     FaultPlan: a phased schedule of FaultSpecs, e.g. "healthy for 500 ms,
 //     blackhole for 2 s, then healed forever";
 //   - the injector interposes at two points: FaultInjectingTransport wraps
-//     any client Transport (simulated or real), and the serving runtimes
-//     (UdpServerHost's thread-per-endpoint loop and the reactor's UDP/stream
-//     endpoints) filter inbound messages through the process-global injector
-//     installed from the HCS_FAULTS environment spec or by a test.
+//     any client Transport (simulated or real), and the reactor's UDP and
+//     stream endpoints filter inbound messages through the process-global
+//     injector installed from the HCS_FAULTS environment spec or by a test.
 //
 // Nothing here runs unless an injector is configured: with HCS_FAULTS unset
 // and no wrapper installed, every hot path costs one relaxed atomic load,
@@ -252,7 +251,7 @@ void InstallGlobalFaultInjector(FaultInjector* injector);
 HCS_NODISCARD Status FilterInbound(FaultInjector* injector, uint16_t local_port,
                                    Bytes* message);
 
-// Span variant for the batched serve path: one decision per frame (never
+// Span variant for the UDP serve path: one decision per frame (never
 // per batch), corruption applied in place in the arrival buffer. Same
 // contract as FilterInbound — a non-OK Status means drop-and-account.
 HCS_NODISCARD Status FilterInboundFrame(FaultInjector* injector, uint16_t local_port,

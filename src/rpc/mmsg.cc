@@ -109,16 +109,6 @@ UdpIoSnapshot SnapshotUdpIoCounters() {
   return out;
 }
 
-void CountUdpRecv() {
-  Counters().recv_syscalls.fetch_add(1, std::memory_order_relaxed);
-  Counters().recv_datagrams.fetch_add(1, std::memory_order_relaxed);
-}
-
-void CountUdpSend() {
-  Counters().send_syscalls.fetch_add(1, std::memory_order_relaxed);
-  Counters().send_datagrams.fetch_add(1, std::memory_order_relaxed);
-}
-
 void CountUdpExchangeRecv() { Counters().exchange_recvs.fetch_add(1, std::memory_order_relaxed); }
 
 void CountUdpExchangeSend() { Counters().exchange_sends.fetch_add(1, std::memory_order_relaxed); }
@@ -179,7 +169,7 @@ UdpRecvBatch::UdpRecvBatch(int capacity, size_t slot_bytes)
       iovs_(static_cast<size_t>(capacity_)),
       controls_(static_cast<size_t>(capacity_)) {}
 
-int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
+int UdpRecvBatch::Recv(int fd) {
 #if HCS_VIEW_DEBUG_ENABLED
   // Recycle. Only the bytes the last Recv landed can hold a payload, so
   // only they are poisoned again; the arena still bumps its generation (a
@@ -213,11 +203,10 @@ int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
       m.msg_hdr.msg_control = control.bytes;
       m.msg_hdr.msg_controllen = sizeof(control.bytes);
     }
-    int flags = wait_for_one ? MSG_WAITFORONE : MSG_DONTWAIT;
     RecvmmsgFn recv_fn = g_recvmmsg.load(std::memory_order_acquire);
     int n;
     do {
-      n = recv_fn(fd, msgs_.data(), static_cast<unsigned int>(capacity_), flags);
+      n = recv_fn(fd, msgs_.data(), static_cast<unsigned int>(capacity_), MSG_DONTWAIT);
     } while (n < 0 && errno == EINTR);
     if (n >= 0) {
       Counters().recv_syscalls.fetch_add(1, std::memory_order_relaxed);
@@ -248,9 +237,8 @@ int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
     // Fall through to the single-shot loop below.
   }
 
-  // Single-shot fallback: the same frames, one recvfrom per datagram. The
-  // first read may block (wait_for_one on a blocking socket); the rest
-  // never do, so a drained queue ends the batch instead of stalling it.
+  // Single-shot fallback: the same frames, one nonblocking recvfrom per
+  // datagram; a drained queue ends the batch.
   int count = 0;
   while (count < capacity_) {
     UdpFrame& f = frames_[static_cast<size_t>(count)];
@@ -258,8 +246,7 @@ int UdpRecvBatch::Recv(int fd, bool wait_for_one) {
     f.peer_len = sizeof(f.peer);
     f.data = slots + static_cast<size_t>(count) * slot_bytes_;
     f.rx_realtime_ns = 0;
-    int flags = (count == 0 && wait_for_one) ? MSG_TRUNC : (MSG_DONTWAIT | MSG_TRUNC);
-    ssize_t n = recvfrom(fd, f.data, slot_bytes_, flags,
+    ssize_t n = recvfrom(fd, f.data, slot_bytes_, MSG_DONTWAIT | MSG_TRUNC,
                          reinterpret_cast<sockaddr*>(&f.peer), &f.peer_len);
     if (n < 0) {
       if (errno == EINTR) {

@@ -1,5 +1,5 @@
 // Batched UDP I/O: recvmmsg/sendmmsg wrappers shared by the reactor's UDP
-// endpoints and UdpServerHost's thread-per-endpoint loops. One syscall
+// endpoints and the async client's UDP channel. One syscall
 // moves up to a batch of datagrams in either direction; each received frame
 // is a view into the batch's arena (src/common/arena.h), so decode and
 // dispatch run without a per-datagram copy.
@@ -8,8 +8,8 @@
 // ENOSYS (or EINVAL from an emulation layer that rejects the vectors) flips
 // a process-global flag and every subsequent batch call degrades to a
 // recvfrom/sendto loop with identical semantics — same frames, same order,
-// same partial-completion accounting — so the serving runtimes never need a
-// second code path.
+// same partial-completion accounting — so the callers never need a second
+// code path.
 //
 // Partial completion is the contract, not an error: Recv returns however
 // many datagrams were ready, SendReplies returns how many datagrams the
@@ -42,8 +42,7 @@ constexpr int kDefaultUdpBatch = 16;
 
 // Resolves a requested batch size: > 0 wins (clamped to [1, kMaxUdpBatch]);
 // 0 consults the HCS_UDP_BATCH environment variable, else kDefaultUdpBatch.
-// A result of 1 means "single-shot": the serving runtimes keep their
-// seed-identical recvfrom/sendto paths.
+// A result of 1 reads one datagram per Recv.
 int ResolveUdpBatchSize(int requested);
 
 // --- Syscall counters (relaxed; bench_runner derives syscalls/req) ---------
@@ -60,14 +59,10 @@ struct UdpIoSnapshot {
   uint64_t exchange_send_syscalls = 0;
 };
 UdpIoSnapshot SnapshotUdpIoCounters();
-// One successful single-shot datagram syscall (recvfrom/recvmsg/recv or
-// sendto). The batch wrappers count themselves; every other datagram
-// syscall site (the blocking client exchange, single-shot serving) reports
-// here so the counters see all of the traffic.
-void CountUdpRecv();
-void CountUdpSend();
-// The same, for the blocking client exchange; also counted in the
-// exchange_* fields.
+// One successful datagram syscall (recv or sendto) of the blocking client
+// exchange, the one datagram syscall site outside the batch wrappers
+// (which count themselves); counted in the totals and the exchange_*
+// fields.
 void CountUdpExchangeRecv();
 void CountUdpExchangeSend();
 
@@ -126,12 +121,10 @@ class UdpRecvBatch {
   UdpRecvBatch(const UdpRecvBatch&) = delete;
   UdpRecvBatch& operator=(const UdpRecvBatch&) = delete;
 
-  // Receives up to capacity() datagrams. `wait_for_one` blocks for the
-  // first datagram (thread-per-endpoint loops; the socket is blocking);
-  // otherwise the call never blocks (reactor; nonblocking socket). Returns
-  // the number of frames landed (0 = nothing ready), or -1 on a hard
-  // socket error (errno preserved). Invalidates the previous Recv's frames.
-  int Recv(int fd, bool wait_for_one = false);
+  // Receives up to capacity() datagrams without blocking. Returns the
+  // number of frames landed (0 = nothing ready), or -1 on a hard socket
+  // error (errno preserved). Invalidates the previous Recv's frames.
+  int Recv(int fd);
 
   int capacity() const { return capacity_; }
   size_t slot_bytes() const { return slot_bytes_; }

@@ -77,13 +77,13 @@ struct Reactor::Endpoint {
   bool scheduled HCS_GUARDED_BY(mu) = false;
 };
 
-// What a worker reads UDP endpoints into, allocated on its first UDP
-// wake. Owned by one worker for its lifetime: frames land in its batch
-// arena, run through their handlers, and the replies leave before the
-// worker reads again.
+// What a worker reads UDP endpoints into, each batch allocated on the
+// worker's first wake by that kind of endpoint. Owned by one worker for
+// its lifetime: frames land in a batch arena, run through their handlers,
+// and the replies leave before the worker reads again.
 struct Reactor::WorkerScratch {
-  std::unique_ptr<UdpRecvBatch> batch;  // serial endpoints, udp_batch > 1
-  std::vector<uint8_t> buffer;          // concurrent endpoints, or udp_batch == 1
+  std::unique_ptr<UdpRecvBatch> serial;      // udp_batch_ slots
+  std::unique_ptr<UdpRecvBatch> concurrent;  // one slot: one datagram per turn
   std::vector<UdpReply> replies;
 };
 
@@ -601,15 +601,7 @@ uint32_t Reactor::UdpInterest(const Endpoint& endpoint) {
 }
 
 void Reactor::ServeUdpReady(Endpoint* endpoint, WorkerScratch& scratch) {
-  // A concurrent endpoint's worker takes one datagram per turn and hands
-  // the socket back: the rest stay queued for the other workers its
-  // readiness wakes, so a burst fans out across the pool instead of
-  // queueing behind one worker's handlers. One datagram needs no batch.
-  if (udp_batch_ > 1 && !endpoint->concurrent) {
-    DrainUdpBatched(endpoint, scratch);
-  } else {
-    DrainUdp(endpoint, scratch);
-  }
+  DrainUdp(endpoint, scratch);
   if (!endpoint->concurrent) {
     // Readiness that arrived during the drain is reported by the re-arm
     // itself. After Stop() removed the endpoint this fails, harmlessly.
@@ -621,74 +613,23 @@ void Reactor::ServeUdpReady(Endpoint* endpoint, WorkerScratch& scratch) {
 }
 
 void Reactor::DrainUdp(Endpoint* endpoint, WorkerScratch& scratch) {
-  std::vector<uint8_t>& buffer = scratch.buffer;
-  if (buffer.empty()) {
-    buffer.resize(kMaxDatagram);
+  // A concurrent endpoint's worker reads one datagram per turn and hands
+  // the socket back: the rest stay queued for the other workers its
+  // readiness wakes, so a burst fans out across the pool instead of
+  // queueing behind one worker's handlers.
+  std::unique_ptr<UdpRecvBatch>& owned =
+      endpoint->concurrent ? scratch.concurrent : scratch.serial;
+  if (owned == nullptr) {
+    owned = std::make_unique<UdpRecvBatch>(endpoint->concurrent ? 1 : udp_batch_,
+                                           udp_slot_bytes_);
   }
-  while (true) {
-    sockaddr_in peer{};
-    iovec iov{buffer.data(), buffer.size()};
-    ReceiveControl control{};
-    msghdr msg{};
-    msg.msg_name = &peer;
-    msg.msg_namelen = sizeof(peer);
-    msg.msg_iov = &iov;
-    msg.msg_iovlen = 1;
-    msg.msg_control = control.bytes;
-    msg.msg_controllen = sizeof(control.bytes);
-    ssize_t n = recvmsg(endpoint->fd, &msg, 0);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      // EAGAIN: drained. Anything else (e.g. ICMP-induced errors): skip —
-      // the socket reports genuine readiness again.
-      return;
-    }
-    CountUdpRecv();
-    if (n == 0) {
-      continue;  // zero-byte datagram (the thread-mode wake convention)
-    }
-    ScopedReceiveTimestamp stamp(ArrivalSteadyMs(ReceiveTimestampNs(msg)));
-    Bytes request(buffer.begin(), buffer.begin() + n);
-    Status admitted = FilterInbound(GlobalFaultInjector(), endpoint->port, &request);
-    if (!admitted.ok()) {
-      CountDrop(endpoint, 1);
-      continue;
-    }
-    Result<Bytes> response = endpoint->service->HandleMessage(request);
-    dispatched_.fetch_add(1, std::memory_order_relaxed);
-    endpoint->dispatched.fetch_add(1, std::memory_order_relaxed);
-    if (!response.ok()) {
-      // Garbled request: drop, as UDP servers do; the client times out.
-      CountDrop(endpoint, 1);
-      HCS_LOG(Debug) << "reactor dropping garbled datagram: " << response.status();
-      continue;
-    }
-    // A would-block send is a drop (UDP semantics: the client retries).
-    if (sendto(endpoint->fd, response->data(), response->size(), 0,
-               reinterpret_cast<const sockaddr*>(&peer), msg.msg_namelen) < 0) {
-      CountDrop(endpoint, 1);
-    } else {
-      CountUdpSend();
-    }
-    if (endpoint->concurrent) {
-      return;  // one turn taken (see ServeUdpReady)
-    }
-  }
-}
-
-void Reactor::DrainUdpBatched(Endpoint* endpoint, WorkerScratch& scratch) {
-  if (scratch.batch == nullptr) {
-    scratch.batch = std::make_unique<UdpRecvBatch>(udp_batch_, udp_slot_bytes_);
-  }
-  UdpRecvBatch& batch = *scratch.batch;
+  UdpRecvBatch& batch = *owned;
   // Debug builds stamp every view built over the batch arena with its
   // generation; a view that survives past the next Recv (which Resets the
   // arena) aborts on access instead of reading recycled bytes.
   ScopedArenaViewBinding view_binding(batch.debug_arena());
   while (true) {
-    int count = batch.Recv(endpoint->fd, /*wait_for_one=*/false);
+    int count = batch.Recv(endpoint->fd);
     if (count <= 0) {
       // 0: drained (EAGAIN). -1: transient socket error (e.g. ICMP-induced)
       // — either way the socket reports genuine readiness again.
@@ -705,17 +646,14 @@ void Reactor::DrainUdpBatched(Endpoint* endpoint, WorkerScratch& scratch) {
       // UDP semantics: an unsendable reply is a drop, the client retries.
       CountDrop(endpoint, static_cast<uint64_t>(scratch.replies.size() - sent));
     }
-    if (count < batch.capacity()) {
-      return;  // a short batch: the socket is drained
+    if (endpoint->concurrent || count < batch.capacity()) {
+      return;  // one turn taken, or a short batch: the socket is drained
     }
   }
 }
 
 void Reactor::ProcessUdpFrame(Endpoint* endpoint, UdpFrame& frame,
                               std::vector<UdpReply>& staged) {
-  if (frame.size == 0) {
-    return;  // zero-byte datagram (the thread-mode wake convention)
-  }
   if (frame.truncated) {
     // The kernel cut the datagram to the slot size; it would decode as
     // garbage, so drop it whole.

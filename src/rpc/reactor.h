@@ -13,13 +13,11 @@
 // timers, client fds).
 //
 // Concurrency model. The sim-era services behind these sockets (RpcServer
-// over World-touching handlers) are not thread-safe, and under
-// thread-per-endpoint they were implicitly serialized by their single serve
-// thread. The reactor preserves that contract by default: a serial UDP
-// endpoint is registered EPOLLONESHOT, so one worker at a time owns it
-// until it has drained the socket and re-armed — handlers never overlap and
-// run in arrival order; a serial stream endpoint's frames go through a
-// per-endpoint run queue. Endpoints whose service is thread-safe opt in to
+// over World-touching handlers) are not thread-safe, so by default an
+// endpoint is serial: a serial UDP endpoint is registered EPOLLONESHOT, so
+// one worker at a time owns it until it has drained the socket and
+// re-armed — handlers never overlap and run in arrival order; a serial
+// stream endpoint's frames go through a per-endpoint run queue. Endpoints whose service is thread-safe opt in to
 // `concurrent` dispatch and fan out across the whole pool. A handler that
 // blocks (an NSM calling BIND) holds its worker, so a chain of nested
 // calls among one reactor's endpoints needs depth + 1 workers.
@@ -77,10 +75,9 @@ struct ReactorOptions {
   // cannot serve UDP endpoints).
   int workers = 0;
   // Datagrams moved per recvmmsg/sendmmsg on serial UDP endpoints. 0 =
-  // resolve from HCS_UDP_BATCH (default kDefaultUdpBatch); 1 = single-shot
-  // recvfrom/sendto, the seed-identical path. Clamped to kMaxUdpBatch. A
-  // concurrent endpoint's worker takes one datagram per turn with
-  // recvmsg/sendto whatever the batch size.
+  // resolve from HCS_UDP_BATCH (default kDefaultUdpBatch); 1 = one
+  // datagram per read. Clamped to kMaxUdpBatch. A concurrent endpoint's
+  // worker takes one datagram per turn whatever the batch size.
   int udp_batch = 0;
   // Bytes per received-datagram slot in a batch; 0 = 64 KiB (the UDP
   // maximum). Smaller slots trade truncation risk for a denser arena.
@@ -90,7 +87,7 @@ struct ReactorOptions {
 struct ReactorEndpointOptions {
   // True: the service is thread-safe and handler invocations may run on
   // all workers concurrently. False (default): per-endpoint serial
-  // execution, the thread-per-endpoint contract.
+  // execution, in arrival order.
   bool concurrent = false;
   // The local port the socket is bound to. Labels this endpoint's
   // dispatch/drop counters (endpoint_stats()) and keys the fault
@@ -215,13 +212,11 @@ class Reactor {
   static uint32_t UdpInterest(const Endpoint& endpoint);
   // Drains the socket, then re-arms a serial endpoint's one-shot interest.
   void ServeUdpReady(Endpoint* endpoint, WorkerScratch& scratch);
-  // recvmsg/sendto, one datagram at a time: concurrent endpoints (one per
-  // turn), and serial ones at udp_batch == 1.
+  // Reads the endpoint into the worker's batch (udp_batch_ datagrams per
+  // Recv for a serial endpoint, one for a concurrent one) and answers each
+  // batch with one SendReplies.
   void DrainUdp(Endpoint* endpoint, WorkerScratch& scratch);
-  // Serial endpoints at udp_batch > 1: recvmmsg into the worker's batch,
-  // one SendReplies per batch.
-  void DrainUdpBatched(Endpoint* endpoint, WorkerScratch& scratch);
-  // Filter + dispatch for one batched frame; the reply goes to `staged`.
+  // Filter + dispatch for one received frame; the reply goes to `staged`.
   void ProcessUdpFrame(Endpoint* endpoint, UdpFrame& frame, std::vector<UdpReply>& staged);
   void CountDrop(Endpoint* endpoint, uint64_t count);
   // hcs:loop-only
@@ -239,7 +234,8 @@ class Reactor {
 
   ReactorOptions options_;
   // Resolved at Start() (before the loop/worker threads exist, so plain
-  // ints are race-free): 1 = single-shot, >1 = batched.
+  // ints are race-free): the serial endpoints' batch size, and the slot
+  // size of every receive batch.
   int udp_batch_ = 1;
   size_t udp_slot_bytes_ = 0;
 

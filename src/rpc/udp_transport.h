@@ -4,28 +4,21 @@
 // genuine — the control protocols and stubs are byte-level real, and only
 // the transport is swapped.
 //
-// UdpServerHost serves in one of two modes:
-//   - kThreadPerEndpoint (the seed model): one background thread per served
-//     endpoint, blocking recvfrom.
-//   - kReactor: every endpoint is a nonblocking socket on a shared epoll
-//     reactor (src/rpc/reactor.h); the reactor's workers read UDP
-//     endpoints themselves and run the handlers inline, serialized per
-//     endpoint unless the service opts into concurrent dispatch.
-// The default comes from the HCS_REACTOR environment variable (1/0), else
-// the compile-time default (-DHCS_REACTOR=ON). Services must stay alive
-// until StopAll()/destruction. Simulated-time charging is a no-op on this
-// path (pass a null World to RpcClient).
+// UdpServerHost serves every endpoint on one shared epoll reactor
+// (src/rpc/reactor.h): each endpoint is a nonblocking socket whose
+// datagrams the reactor's workers read themselves, running the handlers
+// inline, serialized per endpoint unless the service opts into concurrent
+// dispatch. Services must stay alive until StopAll()/destruction.
+// Simulated-time charging is a no-op on this path (pass a null World to
+// RpcClient).
 
 #ifndef HCS_SRC_RPC_UDP_TRANSPORT_H_
 #define HCS_SRC_RPC_UDP_TRANSPORT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "src/common/result.h"
 #include "src/common/sync.h"
@@ -34,26 +27,15 @@
 
 namespace hcs {
 
-enum class ServeMode {
-  kThreadPerEndpoint,
-  kReactor,
-};
-
-// Resolves the process-wide default serving mode: the HCS_REACTOR
-// environment variable ("1"/"on"/"true" vs "0"/"off"/"false") wins; unset
-// falls back to the compile-time default.
-ServeMode DefaultServeMode();
-
 // Serves SimService instances on real sockets bound to 127.0.0.1.
 class UdpServerHost {
  public:
-  // `udp_batch` / `udp_slot_bytes` follow ReactorOptions semantics (0 =
-  // HCS_UDP_BATCH or the default; 1 = single-shot seed path) and apply to
-  // both serve modes — reactor endpoints and thread-per-endpoint loops.
-  explicit UdpServerHost(ServeMode mode = DefaultServeMode(), int reactor_workers = 0,
-                         int udp_batch = 0, size_t udp_slot_bytes = 0)
-      : mode_(mode),
-        reactor_workers_(reactor_workers),
+  // `reactor_workers`, `udp_batch` and `udp_slot_bytes` follow
+  // ReactorOptions semantics (0 = the default; a udp_batch of 1 reads a
+  // serial endpoint one datagram at a time).
+  explicit UdpServerHost(int reactor_workers = 0, int udp_batch = 0,
+                         size_t udp_slot_bytes = 0)
+      : reactor_workers_(reactor_workers),
         udp_batch_(udp_batch),
         udp_slot_bytes_(udp_slot_bytes) {}
   ~UdpServerHost() { StopAll(); }
@@ -62,58 +44,44 @@ class UdpServerHost {
   UdpServerHost& operator=(const UdpServerHost&) = delete;
 
   // Binds 127.0.0.1:`port` (0 = ephemeral) and serves `service` on UDP.
-  // Handler invocations for this endpoint never overlap (the seed's
-  // implicit thread-per-endpoint contract — the sim-era services are not
-  // thread-safe). Returns the bound port.
+  // Handler invocations for this endpoint never overlap and run in arrival
+  // order (the sim-era services are not thread-safe). Returns the bound
+  // port.
   HCS_NODISCARD Result<uint16_t> Serve(SimService* service, uint16_t port = 0);
 
-  // Like Serve, but declares `service` thread-safe: in reactor mode its
-  // handlers fan out across the whole worker pool. In thread mode this is
-  // identical to Serve.
+  // Like Serve, but declares `service` thread-safe: its handlers fan out
+  // across the whole worker pool.
   HCS_NODISCARD Result<uint16_t> ServeConcurrent(SimService* service, uint16_t port = 0);
 
   // Serves `service` on a TCP listener speaking 4-byte big-endian
-  // length-prefixed frames (one HandleMessage per frame). Stream serving
-  // always runs on the reactor, regardless of mode.
+  // length-prefixed frames (one HandleMessage per frame).
   HCS_NODISCARD Result<uint16_t> ServeStream(SimService* service, uint16_t port = 0);
   HCS_NODISCARD Result<uint16_t> ServeStreamConcurrent(SimService* service, uint16_t port = 0);
 
-  // Stops every server thread / drains the reactor and closes the sockets.
-  // Idempotent; Serve may be called again afterwards.
+  // Drains the reactor and closes the sockets. Idempotent; Serve may be
+  // called again afterwards.
   void StopAll();
 
-  ServeMode mode() const { return mode_; }
-  // The shared reactor (null until the first reactor-backed endpoint).
+  // The shared reactor (null until the first endpoint).
   Reactor* reactor() { return reactor_.get(); }
 
-  // Per-endpoint drop counters (port → dropped messages), merged across
-  // both serve modes: thread-per-endpoint loops and reactor endpoints.
-  // Drops cover garbled requests, undeliverable replies, and messages the
-  // fault injector discarded inbound. Snapshot before StopAll() — stopping
+  // Per-endpoint drop counters (port → dropped messages). Drops cover
+  // garbled requests, undeliverable replies, and messages the fault
+  // injector discarded inbound. Snapshot before StopAll() — stopping
   // releases the endpoints. Chaos tests assert on these counts instead of
   // sleeping.
   std::map<uint16_t, uint64_t> dropped_by_endpoint() const;
 
  private:
-  struct Endpoint {
-    int fd = -1;
-    uint16_t port = 0;
-    std::unique_ptr<std::atomic<bool>> stop;  // stable address for the loop
-    std::unique_ptr<std::atomic<uint64_t>> dropped;  // stable address, ditto
-    std::thread thread;
-  };
-
   HCS_NODISCARD Result<uint16_t> ServeUdp(SimService* service, uint16_t port, bool concurrent);
   HCS_NODISCARD Result<uint16_t> ServeStreamInternal(SimService* service, uint16_t port, bool concurrent);
   // Lazily creates and starts the shared reactor.
   HCS_NODISCARD Result<Reactor*> EnsureReactor() HCS_REQUIRES(mutex_);
 
-  const ServeMode mode_;
   const int reactor_workers_;
   const int udp_batch_;
   const size_t udp_slot_bytes_;
   mutable Mutex mutex_{"udp-server-host"};
-  std::vector<Endpoint> endpoints_ HCS_GUARDED_BY(mutex_);
   std::unique_ptr<Reactor> reactor_ HCS_GUARDED_BY(mutex_);
 };
 

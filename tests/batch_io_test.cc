@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -109,6 +110,14 @@ int BindUdp(uint16_t* port_out) {
   return fd;
 }
 
+// Waits up to 5 s for `fd` to turn readable, then reads a batch (Recv
+// never blocks).
+int PollRecv(UdpRecvBatch& batch, int fd) {
+  pollfd pfd{fd, POLLIN, 0};
+  EXPECT_EQ(poll(&pfd, 1, 5000), 1);
+  return batch.Recv(fd);
+}
+
 void SendTo(int fd, uint16_t port, const Bytes& payload) {
   sockaddr_in addr = Loopback(port);
   ASSERT_EQ(sendto(fd, payload.data(), payload.size(), 0,
@@ -128,15 +137,15 @@ TEST(BatchIoTest, PartialBatchLandsQueuedDatagrams) {
   SendTo(sender, port, Bytes{3, 3, 3});
 
   UdpRecvBatch batch(16, 512);
-  // wait_for_one on the blocking socket: returns as soon as something is
-  // queued — here all three, well short of capacity.
-  int n = batch.Recv(fd, /*wait_for_one=*/true);
+  // Returns whatever is queued once the socket turns readable — here all
+  // three, well short of capacity.
+  int n = PollRecv(batch, fd);
   int total = n;
   // The kernel may deliver the burst across polls; sweep until all three.
   while (total < 3) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     UdpRecvBatch more(16, 512);
-    int m = more.Recv(fd, /*wait_for_one=*/true);
+    int m = PollRecv(more, fd);
     ASSERT_GT(m, 0);
     total += m;
   }
@@ -146,10 +155,10 @@ TEST(BatchIoTest, PartialBatchLandsQueuedDatagrams) {
   EXPECT_EQ(batch.frame(0).data[0], 1);
   EXPECT_FALSE(batch.frame(0).truncated);
 
-  // Nothing left: a nonblocking batch read reports zero frames.
-  ASSERT_EQ(SetNonBlocking(fd).code(), StatusCode::kOk);
+  // Nothing left: a batch read reports zero frames, even on a blocking
+  // socket.
   UdpRecvBatch empty(16, 512);
-  EXPECT_EQ(empty.Recv(fd, /*wait_for_one=*/false), 0);
+  EXPECT_EQ(empty.Recv(fd), 0);
   close(sender);
   close(fd);
 }
@@ -166,7 +175,7 @@ TEST(BatchIoTest, OversizedDatagramIsFlaggedTruncatedOthersSurvive) {
   int total = 0;
   bool saw_truncated = false, saw_small = false;
   while (total < 2) {
-    int n = batch.Recv(fd, /*wait_for_one=*/true);
+    int n = PollRecv(batch, fd);
     ASSERT_GT(n, 0);
     for (int i = 0; i < n; ++i) {
       if (batch.frame(i).truncated) {
@@ -237,7 +246,7 @@ TEST(BatchIoTest, EnosysRecvFlipsToSingleShotFallbackPermanently) {
 
   ASSERT_TRUE(MmsgAvailable());
   UdpRecvBatch batch(8, 512);
-  int n = batch.Recv(fd, /*wait_for_one=*/true);
+  int n = PollRecv(batch, fd);
   // The ENOSYS recvmmsg flipped availability and the same Recv call
   // finished the job over recvfrom — identical frames, no caller retry.
   ASSERT_EQ(n, 1);
@@ -354,8 +363,8 @@ int BurstEcho(uint16_t port, int count) {
 
 class EchoServerFixture {
  public:
-  explicit EchoServerFixture(ServeMode mode, int batch, size_t slot_bytes = 0)
-      : host_(mode, /*reactor_workers=*/2, batch, slot_bytes),
+  explicit EchoServerFixture(int batch, size_t slot_bytes = 0)
+      : host_(/*reactor_workers=*/2, batch, slot_bytes),
         server_(ControlKind::kSunRpc, "batch-echo") {
     server_.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> {
       return args.ToBytes();
@@ -374,44 +383,38 @@ class EchoServerFixture {
   uint16_t port_ = 0;
 };
 
-TEST(BatchIoTest, BatchedEchoRoundTripsBothServeModes) {
-  for (ServeMode mode : {ServeMode::kThreadPerEndpoint, ServeMode::kReactor}) {
-    SCOPED_TRACE(mode == ServeMode::kReactor ? "reactor" : "thread");
-    EchoServerFixture fixture(mode, /*batch=*/8);
-    EXPECT_EQ(BurstEcho(fixture.port(), 32), 32);
-    fixture.host().StopAll();
-  }
+TEST(BatchIoTest, BatchedEchoRoundTrips) {
+  EchoServerFixture fixture(/*batch=*/8);
+  EXPECT_EQ(BurstEcho(fixture.port(), 32), 32);
+  fixture.host().StopAll();
 }
 
 TEST(BatchIoTest, OversizedDatagramInBatchIsDroppedNeighborsAnswered) {
-  for (ServeMode mode : {ServeMode::kThreadPerEndpoint, ServeMode::kReactor}) {
-    SCOPED_TRACE(mode == ServeMode::kReactor ? "reactor" : "thread");
-    // 256-byte slots: a jumbo garbage datagram truncates; echo calls fit.
-    EchoServerFixture fixture(mode, /*batch=*/8, /*slot_bytes=*/256);
+  // 256-byte slots: a jumbo garbage datagram truncates; echo calls fit.
+  EchoServerFixture fixture(/*batch=*/8, /*slot_bytes=*/256);
 
-    int fd = socket(AF_INET, SOCK_DGRAM, 0);
-    ASSERT_GE(fd, 0);
-    Bytes jumbo(1000, 0x5a);
-    sockaddr_in addr = Loopback(fixture.port());
-    ASSERT_EQ(sendto(fd, jumbo.data(), jumbo.size(), 0, reinterpret_cast<sockaddr*>(&addr),
-                     sizeof(addr)),
-              static_cast<ssize_t>(jumbo.size()));
-    close(fd);
+  int fd = socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  Bytes jumbo(1000, 0x5a);
+  sockaddr_in addr = Loopback(fixture.port());
+  ASSERT_EQ(sendto(fd, jumbo.data(), jumbo.size(), 0, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            static_cast<ssize_t>(jumbo.size()));
+  close(fd);
 
-    // The truncated frame is dropped (counted), its batch neighbors answer.
-    EXPECT_EQ(BurstEcho(fixture.port(), 16), 16);
-    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    uint64_t dropped = 0;
-    while (std::chrono::steady_clock::now() < deadline) {
-      dropped = fixture.host().dropped_by_endpoint()[fixture.port()];
-      if (dropped >= 1) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // The truncated frame is dropped (counted), its batch neighbors answer.
+  EXPECT_EQ(BurstEcho(fixture.port(), 16), 16);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  uint64_t dropped = 0;
+  while (std::chrono::steady_clock::now() < deadline) {
+    dropped = fixture.host().dropped_by_endpoint()[fixture.port()];
+    if (dropped >= 1) {
+      break;
     }
-    EXPECT_GE(dropped, 1u);
-    fixture.host().StopAll();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
+  EXPECT_GE(dropped, 1u);
+  fixture.host().StopAll();
 }
 
 TEST(BatchIoTest, FaultDecisionsArePerFrameNotPerBatch) {
@@ -426,7 +429,7 @@ TEST(BatchIoTest, FaultDecisionsArePerFrameNotPerBatch) {
   FaultInjector injector(config);
   InstallGlobalFaultInjector(&injector);
 
-  EchoServerFixture fixture(ServeMode::kThreadPerEndpoint, /*batch=*/8);
+  EchoServerFixture fixture(/*batch=*/8);
   constexpr int kFrames = 24;
   // All dropped: BurstEcho gets zero replies back.
   EXPECT_EQ(BurstEcho(fixture.port(), kFrames), 0);
@@ -466,7 +469,7 @@ TEST(BatchIoTest, DecisionSequenceMatchesSingleShotServing) {
     injector.set_trace_enabled(true);
     InstallGlobalFaultInjector(&injector);
 
-    EchoServerFixture fixture(ServeMode::kThreadPerEndpoint, batch);
+    EchoServerFixture fixture(batch);
     EXPECT_EQ(BurstEcho(fixture.port(), 12), 0);
     auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (std::chrono::steady_clock::now() < deadline &&
@@ -525,7 +528,7 @@ TEST(BatchIoTest, BatchedFindNsmVsRegisterStorm) {
   BindServer* meta_bind = BindServer::InstallOn(&world, "metahost", meta_options).value();
   ASSERT_TRUE(meta_bind->AddZone(MetaStore::kMetaZoneOrigin).ok());
 
-  UdpServerHost server_host(DefaultServeMode(), /*reactor_workers=*/0, /*udp_batch=*/8);
+  UdpServerHost server_host(/*reactor_workers=*/0, /*udp_batch=*/8);
   Result<uint16_t> port = server_host.Serve(meta_bind->rpc(), 0);
   ASSERT_TRUE(port.ok()) << port.status();
 

@@ -74,7 +74,8 @@ NsmInfo StormNsmInfo() {
 // clean failure, and the system converges once registration settles.
 TEST(ConcurrencyTest, CompositeInvalidationRacesFindNsm) {
   // The modified-BIND meta authority, served from one real UDP socket. Its
-  // single serve thread is the only thread touching `world` after setup.
+  // serial endpoint is the only code touching `world` after setup, one
+  // handler at a time.
   World world;
   ASSERT_TRUE(world.network().AddHost("metahost", MachineType::kMicroVax, OsType::kUnix).ok());
   BindServerOptions meta_options;
@@ -313,7 +314,7 @@ struct OverlapProbe {
 OverlapProbe ProbeHandlerOverlap(bool concurrent) {
   constexpr int kClients = 4;
   constexpr int kCallsPerClient = 30;
-  UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/kClients);
+  UdpServerHost host(/*reactor_workers=*/kClients);
   std::atomic<int> in_flight{0};
   std::atomic<int> max_in_flight{0};
   std::atomic<int> overlapping{0};

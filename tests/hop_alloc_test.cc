@@ -110,7 +110,7 @@ std::string TargetHost(int i) { return "host" + std::to_string(i) + ".cs.washing
 
 TEST(HopAllocTest, WarmRemoteResolutionAllocatesWithinItsBudget) {
   std::vector<std::unique_ptr<World>> worlds;
-  UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/2);
+  UdpServerHost host(/*reactor_workers=*/2);
 
   BindServerOptions meta_options;
   meta_options.allow_dynamic_update = true;

@@ -2,7 +2,7 @@
 // -DHCS_SANITIZE=thread):
 //
 //   - Start/Stop idempotence and restartability, including Serve after
-//     StopAll on a reactor-mode UdpServerHost.
+//     StopAll on a UdpServerHost.
 //   - End-to-end echo over the reactor for every control protocol, on both
 //     UDP and length-prefixed stream endpoints.
 //   - The FindNSM vs Register/Unregister storm from concurrency_test.cc,
@@ -70,7 +70,7 @@ TEST(ReactorTest, StartStopIdempotentAndRestartable) {
 }
 
 TEST(ReactorTest, ServeAfterStopAllRestartsTheReactor) {
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "restart-echo");
   server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
 
@@ -90,7 +90,7 @@ TEST(ReactorTest, ServeAfterStopAllRestartsTheReactor) {
 }
 
 TEST(ReactorTest, EchoOverReactorAllControlProtocols) {
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   UdpTransport udp;
   TcpStreamTransport tcp;
   RpcClient udp_client(/*world=*/nullptr, "localclient", &udp);
@@ -157,7 +157,7 @@ TEST(ReactorTest, FindNsmStormAgainstReactorServedMetaStore) {
   BindServer* meta_bind = BindServer::InstallOn(&world, "metahost", meta_options).value();
   ASSERT_TRUE(meta_bind->AddZone(MetaStore::kMetaZoneOrigin).ok());
 
-  UdpServerHost server_host(ServeMode::kReactor);
+  UdpServerHost server_host;
   Result<uint16_t> port = server_host.Serve(meta_bind->rpc(), 0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -264,7 +264,7 @@ TEST(ReactorTest, FindNsmStormAgainstReactorServedMetaStore) {
 // reactor holds one worker while another serves the sibling: with the
 // default pool (at least two workers) the nested call completes.
 TEST(ReactorTest, SerialHandlerNestedCallCompletesWithDefaultWorkers) {
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   RpcServer backend(ControlKind::kRaw, "nested-backend");
   backend.RegisterProcedure(8, 1, [](BytesView args) -> Result<Bytes> {
     Bytes out = args.ToBytes();
@@ -297,7 +297,7 @@ TEST(ReactorTest, SerialHandlerNestedCallCompletesWithDefaultWorkers) {
 // Stop() while workers sit inside slow handlers: the handlers finish, the
 // workers join, and no client is left hanging past its own timeout.
 TEST(ReactorTest, StopWithHandlersMidFlightJoinsCleanly) {
-  UdpServerHost host(ServeMode::kReactor, /*reactor_workers=*/4);
+  UdpServerHost host(/*reactor_workers=*/4);
   std::atomic<int> entered{0};
   std::atomic<int> finished{0};
   RpcServer slow(ControlKind::kRaw, "slow-concurrent");
@@ -371,7 +371,7 @@ TEST(ReactorTest, SelfPostChainFromLoopTasksCompletes) {
 // --- RequestContext deadline semantics --------------------------------------
 
 TEST(ReactorTest, ClientShedsSpentBudgetBeforeSending) {
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   std::atomic<int> invocations{0};
   RpcServer server(ControlKind::kRaw, "never-called");
   server.RegisterProcedure(7, 1, [&](BytesView args) -> Result<Bytes> {
@@ -401,7 +401,7 @@ TEST(ReactorTest, QueueDelayCountsAgainstTheBudget) {
   // request with a 100 ms budget arrives while the first is being served;
   // by the time it is dispatched its (arrival-rebased) deadline has passed,
   // so the server sheds it without invoking the handler.
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   std::atomic<int> invocations{0};
   RpcServer server(ControlKind::kRaw, "slow-serial");
   server.RegisterProcedure(7, 1, [&](BytesView args) -> Result<Bytes> {
@@ -439,7 +439,7 @@ TEST(ReactorTest, AmbientContextPropagatesAcrossServerHop) {
   // front's handler burns the whole budget, then makes a nested call to
   // `backend` without passing a context: the ambient (decoded) context must
   // be inherited, found expired, and shed before the nested send.
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   std::atomic<int> backend_invocations{0};
   RpcServer backend(ControlKind::kRaw, "backend");
   backend.RegisterProcedure(8, 1, [&](BytesView args) -> Result<Bytes> {
@@ -527,7 +527,7 @@ class FlakyService : public SimService {
 };
 
 TEST(ReactorTest, BudgetedCallRetriesThroughTransientLoss) {
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "flaky-echo");
   server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   FlakyService flaky(&server, /*failures=*/2);
@@ -549,7 +549,7 @@ TEST(ReactorTest, BudgetedCallRetriesThroughTransientLoss) {
 }
 
 TEST(ReactorTest, UnbudgetedCallStaysSingleAttempt) {
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   RpcServer server(ControlKind::kRaw, "flaky-once");
   server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
   FlakyService flaky(&server, /*failures=*/1);
@@ -572,7 +572,7 @@ TEST(ReactorTest, UnbudgetedCallStaysSingleAttempt) {
 // Singleflight followers must not outwait their own deadline when the
 // leader's upstream fetch is slow.
 TEST(ReactorTest, SingleflightFollowerHonorsItsOwnDeadline) {
-  UdpServerHost host(ServeMode::kReactor);
+  UdpServerHost host;
   RpcServer slow_bind(ControlKind::kRaw, "slow-meta");
   slow_bind.RegisterProcedure(
       kBindProgram, kBindProcQuery, [](BytesView) -> Result<Bytes> {

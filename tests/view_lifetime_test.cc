@@ -1,11 +1,11 @@
 // View-lifetime runtime enforcement (ctest label `concurrency`; the
-// views-asan leg of tools/check.sh runs this under ASan in both serve
-// modes): the poisoned debug arena and the generation-stamped BytesView
+// views-asan leg of tools/check.sh runs this under ASan): the poisoned
+// debug arena and the generation-stamped BytesView
 // from DESIGN.md §13. Death tests assert that a view which outlives its
 // arena's Reset aborts with both sites (birth and reset) named; poison
 // tests assert freed spans trap (ASan) or carry the canary scribble
-// (plain debug builds); storm regressions prove no handler on either
-// serve path retains a view past its frame.
+// (plain debug builds); storm regressions prove no handler on the serve
+// path retains a view past its frame.
 //
 // In release builds (HCS_VIEW_DEBUG_ENABLED == 0) every check here
 // compiles out of the product code, so the suite reduces to one skip;
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -258,7 +259,9 @@ TEST(ViewLifetimeTest, PartialBatchRecyclePoisonsUnfilledSpans) {
 
   constexpr size_t kSlot = 64;
   UdpRecvBatch batch(4, kSlot);
-  int n = batch.Recv(fd, /*wait_for_one=*/true);
+  pollfd pfd{fd, POLLIN, 0};
+  ASSERT_EQ(poll(&pfd, 1, 5000), 1);
+  int n = batch.Recv(fd);
   ASSERT_EQ(n, 1);
   uint8_t* slot0 = batch.frame(0).data;
   ASSERT_EQ(batch.frame(0).size, 3u);
@@ -288,15 +291,15 @@ TEST(ViewLifetimeTest, PartialBatchRecyclePoisonsUnfilledSpans) {
   close(fd);
 }
 
-// --- Use-after-recycle across the serving runtimes --------------------------
+// --- Use-after-recycle on the serving path ----------------------------------
 
 // A server whose handler illegally retains the args view of request 1 and
 // dereferences it while serving request 2 — after the batch's next Recv
 // has Reset the arena. Run inside EXPECT_DEATH: the generation stamp must
 // abort the process on the second request. Returns only if the runtime
 // gate failed to fire (which the death test reports as the failure).
-void ServeWithRetainingHandler(ServeMode mode) {
-  UdpServerHost host(mode, /*reactor_workers=*/1, /*udp_batch=*/8);
+void ServeWithRetainingHandler() {
+  UdpServerHost host(/*reactor_workers=*/1, /*udp_batch=*/8);
   RpcServer server(ControlKind::kSunRpc, "retainer");
   struct Retained {
     // hcs:owns-view(deliberate violation: this death test asserts the
@@ -339,16 +342,9 @@ void ServeWithRetainingHandler(ServeMode mode) {
   host.StopAll();
 }
 
-TEST(ViewLifetimeTest, RetainedViewAbortsAcrossRecycleThreadMode) {
+TEST(ViewLifetimeTest, RetainedViewAbortsAcrossRecycle) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(ServeWithRetainingHandler(ServeMode::kThreadPerEndpoint),
-               "use-after-reset");
-}
-
-TEST(ViewLifetimeTest, RetainedViewAbortsAcrossRecycleReactorMode) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(ServeWithRetainingHandler(ServeMode::kReactor),
-               "use-after-reset");
+  EXPECT_DEATH(ServeWithRetainingHandler(), "use-after-reset");
 }
 
 // --- Storm regression: no handler retains a view past its reply -------------
@@ -378,22 +374,19 @@ int BurstEcho(uint16_t port, int count) {
   return replies;
 }
 
-TEST(ViewLifetimeTest, BatchedStormRetainsNoViewsEitherServeMode) {
+TEST(ViewLifetimeTest, BatchedStormRetainsNoViews) {
   // Every frame's views die when its batch recycles; with the debug arena
   // live, any handler or dispatch path holding a view past its reply would
-  // abort this storm. Full completion in both modes is the proof.
-  for (ServeMode mode : {ServeMode::kThreadPerEndpoint, ServeMode::kReactor}) {
-    SCOPED_TRACE(mode == ServeMode::kReactor ? "reactor" : "thread");
-    UdpServerHost host(mode, /*reactor_workers=*/2, /*udp_batch=*/8);
-    RpcServer server(ControlKind::kSunRpc, "storm-echo");
-    server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> {
-      return args.ToBytes();
-    });
-    Result<uint16_t> port = host.Serve(&server, 0);
-    ASSERT_TRUE(port.ok()) << port.status();
-    EXPECT_EQ(BurstEcho(*port, 48), 48);
-    host.StopAll();
-  }
+  // abort this storm. Full completion is the proof.
+  UdpServerHost host(/*reactor_workers=*/2, /*udp_batch=*/8);
+  RpcServer server(ControlKind::kSunRpc, "storm-echo");
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> {
+    return args.ToBytes();
+  });
+  Result<uint16_t> port = host.Serve(&server, 0);
+  ASSERT_TRUE(port.ok()) << port.status();
+  EXPECT_EQ(BurstEcho(*port, 48), 48);
+  host.StopAll();
 }
 
 #endif  // HCS_VIEW_DEBUG_ENABLED

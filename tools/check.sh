@@ -5,17 +5,15 @@
 #   default      build + full ctest (the tier-1 gate)
 #   asan-ubsan   full ctest under -DHCS_SANITIZE=address,undefined
 #   tsan         `ctest -L concurrency` under -DHCS_SANITIZE=thread
-#   tsan-reactor same tsan build, rerun with HCS_REACTOR=1 so every
-#                real-socket host serves on the shared epoll reactor
 #   annotations  clang build with -DHCS_THREAD_SAFETY=ON (-Werror=thread-safety)
 #   clang-tidy   .clang-tidy over src/ via the default compile database
 #   lint-wire    tools/lint_wire.py encode/decode symmetry
 #   lint-failpaths   tools/lint_failpaths.py error-discipline lint + self-test
 #   lint-views   tools/lint_views.py view-escape lint + self-test
 #   lint-loop    tools/lint_loop.py loop-affinity lint + self-test
-#   views-asan   view_lifetime_test + fuzz_test under the asan-ubsan build in
-#                both serve modes: the poisoned debug arena and generation
-#                stamps made fatal (HCS_SANITIZE compiles them in)
+#   views-asan   view_lifetime_test + fuzz_test under the asan-ubsan build:
+#                the poisoned debug arena and generation stamps made fatal
+#                (HCS_SANITIZE compiles them in)
 #   decode-sweep-asan  decode_sweep_test alone under the asan-ubsan build:
 #                the truncation/bit-flip sweep with over-reads made fatal
 #   chaos-asan   `ctest -L chaos` under the asan-ubsan build: the seeded
@@ -24,11 +22,10 @@
 #                fixed seeds, HCS_WORKLOAD_POPULATION scaled to sanitizer
 #                speed: the million-client engine's determinism claims with
 #                memory errors made fatal
-#   chaos-tsan   `ctest -L chaos` under the tsan build, in both serve modes
-#                (plain, then HCS_REACTOR=1)
-#   async-tsan   async_client_test under the tsan build in both serve
-#                modes: the reactor-driven client engine's loop thread,
-#                future completion, pipelining, and reap races
+#   chaos-tsan   `ctest -L chaos` under the tsan build
+#   async-tsan   async_client_test under the tsan build: the reactor-driven
+#                client engine's loop thread, future completion,
+#                pipelining, and reap races
 #   bench-smoke  tools/bench_snapshot.py --check over every checked-in
 #                BENCH_*.json: schema + embedded trajectory floors (no
 #                re-measurement; also runs as the bench_smoke ctest)
@@ -148,22 +145,6 @@ configure_build_test asan-ubsan -DHCS_SANITIZE=address,undefined --
 # 3. TSan over the multi-threaded / real-socket tests.
 configure_build_test tsan -DHCS_SANITIZE=thread -- -L concurrency
 
-# 3b. Same TSan binaries, reactor serving mode: HCS_REACTOR=1 flips every
-# UdpServerHost onto the shared epoll runtime, so the worker-pool dispatch
-# and graceful-drain paths get the same data-race gate as thread-per-endpoint.
-if [[ -x "${BUILD_ROOT}/tsan/CMakeCache.txt" || -f "${BUILD_ROOT}/tsan/CMakeCache.txt" ]]; then
-  note "tsan-reactor: ctest -L concurrency with HCS_REACTOR=1"
-  if (cd "${BUILD_ROOT}/tsan" &&
-      HCS_REACTOR=1 ctest --output-on-failure -j "${JOBS}" -L concurrency); then
-    record tsan-reactor PASS
-  else
-    record tsan-reactor FAIL
-  fi
-else
-  note "tsan-reactor: SKIP (tsan build unavailable)"
-  record tsan-reactor SKIP
-fi
-
 # 4. Clang thread-safety annotations as errors (build-only gate).
 if command -v clang++ >/dev/null 2>&1; then
   dir="${BUILD_ROOT}/thread-safety"
@@ -202,15 +183,11 @@ run_lints
 # 7c. The runtime half of the view-lifetime gate: under the asan-ubsan build
 # (which compiles in HCS_DEBUG_ARENA/HCS_DEBUG_VIEW) the arena poisons
 # recycled spans and generation-stamped views abort on stale access, so the
-# death tests and the poisoned-arena fuzz leg run with real teeth — in both
-# serve modes, since view retention bugs differ between thread-per-endpoint
-# and the reactor.
+# death tests and the poisoned-arena fuzz leg run with real teeth.
 if [[ -x "${BUILD_ROOT}/asan-ubsan/tests/view_lifetime_test" ]]; then
-  note "views-asan: view_lifetime_test + fuzz_test under address,undefined (both serve modes)"
+  note "views-asan: view_lifetime_test + fuzz_test under address,undefined"
   if (cd "${BUILD_ROOT}/asan-ubsan" &&
-      ctest --output-on-failure -R '^(view_lifetime_test|fuzz_test)$') &&
-     (cd "${BUILD_ROOT}/asan-ubsan" &&
-      HCS_REACTOR=1 ctest --output-on-failure -R '^(view_lifetime_test|fuzz_test)$'); then
+      ctest --output-on-failure -R '^(view_lifetime_test|fuzz_test)$'); then
     record views-asan PASS
   else
     record views-asan FAIL
@@ -277,13 +254,12 @@ else
   record workload-asan SKIP
 fi
 
-# 10. The same scenarios under TSan, in both serve modes: the injector's
-# serve-side hooks run on reactor workers and per-endpoint threads, and the
-# decision/trace state is shared across every calling thread.
+# 10. The same scenarios under TSan: the injector's serve-side hooks run on
+# reactor workers, and the decision/trace state is shared across every
+# calling thread.
 if [[ -x "${BUILD_ROOT}/tsan/tests/chaos_test" ]]; then
-  note "chaos-tsan: ctest -L chaos under thread (both serve modes)"
-  if (cd "${BUILD_ROOT}/tsan" && ctest --output-on-failure -L chaos) &&
-     (cd "${BUILD_ROOT}/tsan" && HCS_REACTOR=1 ctest --output-on-failure -L chaos); then
+  note "chaos-tsan: ctest -L chaos under thread"
+  if (cd "${BUILD_ROOT}/tsan" && ctest --output-on-failure -L chaos); then
     record chaos-tsan PASS
   else
     record chaos-tsan FAIL
@@ -293,16 +269,14 @@ else
   record chaos-tsan SKIP
 fi
 
-# 11. The async client core under TSan, in both serve modes: the engine's
-# loop thread completes futures that calling threads wait on, the chaos
-# scenarios pipeline ≥8 calls through it, and the reap timer races new
-# assignments. Reuses the tsan build from step 3 when it exists.
+# 11. The async client core under TSan: the engine's loop thread completes
+# futures that calling threads wait on, the chaos scenarios pipeline ≥8
+# calls through it, and the reap timer races new assignments. Reuses the
+# tsan build from step 3 when it exists.
 if [[ -x "${BUILD_ROOT}/tsan/tests/async_client_test" ]]; then
-  note "async-tsan: async_client_test under thread (both serve modes)"
+  note "async-tsan: async_client_test under thread"
   if (cd "${BUILD_ROOT}/tsan" &&
-      ctest --output-on-failure -R '^async_client_test$') &&
-     (cd "${BUILD_ROOT}/tsan" &&
-      HCS_REACTOR=1 ctest --output-on-failure -R '^async_client_test$'); then
+      ctest --output-on-failure -R '^async_client_test$'); then
     record async-tsan PASS
   else
     record async-tsan FAIL
