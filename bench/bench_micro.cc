@@ -1,8 +1,9 @@
 // Real-time microbenchmarks (google-benchmark): the wire formats, the HNS
-// cache data structure, the event queue, zone lookups, and the remote NSM
-// query hop's codec chain. These measure the *implementation's* wall-clock
-// performance — the paper's tables are regenerated by the bench_table*/
-// bench_* harnesses on the virtual clock.
+// cache data structure, the event queue, zone lookups, the remote NSM
+// query hop's codec chain, and the warm linked query's two cache hits.
+// These measure the *implementation's* wall-clock performance — the
+// paper's tables are regenerated by the bench_table*/bench_* harnesses on
+// the virtual clock.
 
 #include <benchmark/benchmark.h>
 
@@ -14,9 +15,12 @@
 #include "src/bindns/zone.h"
 #include "src/common/rand.h"
 #include "src/hns/cache.h"
+#include "src/hns/query_class.h"
+#include "src/hns/session.h"
 #include "src/hns/wire_protocol.h"
 #include "src/rpc/control.h"
 #include "src/sim/event_queue.h"
+#include "src/testbed/testbed.h"
 #include "src/wire/courier.h"
 #include "src/wire/idl.h"
 #include "src/wire/value.h"
@@ -162,6 +166,61 @@ void BM_HnsCacheHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HnsCacheHit)->Arg(0)->Arg(1);
+
+// A warm composite FindNSM probe on its own: the key folded in place, one
+// map probe, the NSM name and binding copied out.
+void BM_CompositeHit(benchmark::State& state) {
+  CompositeBindingCache cache(nullptr);
+  CompositeEntry entry;
+  entry.nsm_name = "HostAddrNSM-BIND";
+  entry.binding.service_name = "HostAddrNSM-BIND";
+  entry.binding.host = "yakima.cs.washington.edu";
+  entry.binding.port = 3001;
+  entry.context = "BIND";
+  entry.query_class = kQueryClassHostAddress;
+  entry.ns_name = "UW-BIND";
+  entry.expires = CacheNow(nullptr) + MsToSim(3600.0 * 1000.0);
+  cache.Put(entry);
+  const std::string context = "BIND";
+  const uint64_t allocations_before = g_allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    auto hit = cache.Get(context, kQueryClassHostAddress);
+    benchmark::DoNotOptimize(hit->binding.port);
+  }
+  state.counters["allocs_per_iter"] = benchmark::Counter(
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) - allocations_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_CompositeHit);
+
+// A warm HnsSession::Query in Table 3.1 row 1 (client, HNS and NSMs in one
+// process, composite cache on): a composite hit, then the linked BIND
+// HostAddress NSM's marshalled cache hit. The testbed's simulated world
+// supplies the cold fill; the measured queries touch no transport, but
+// still charge the virtual clock as the sim-era code does.
+void BM_WarmLinkedQuery(benchmark::State& state) {
+  TestbedOptions options;
+  options.hns_composite_cache = true;
+  Testbed bed(options);
+  ClientSetup client = bed.MakeClient(Arrangement::kAllLinked);
+  HnsName name;
+  name.context = kContextBind;
+  name.individual = kSunServerHost;
+  const WireValue no_args = WireValue::OfRecord({});
+  if (!client.session->Query(name, kQueryClassHostAddress, no_args).ok()) {
+    state.SkipWithError("cold query failed");
+    return;
+  }
+  const uint64_t allocations_before = g_allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    Result<WireValue> result = client.session->Query(name, kQueryClassHostAddress, no_args);
+    benchmark::DoNotOptimize(result.ok());
+  }
+  state.counters["allocs_per_iter"] = benchmark::Counter(
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) - allocations_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_WarmLinkedQuery);
 
 void BM_EventQueue(benchmark::State& state) {
   for (auto _ : state) {

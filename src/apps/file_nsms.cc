@@ -45,8 +45,8 @@ Result<WireValue> BindFileServiceNsm::Query(const HnsName& name, const WireValue
   std::string host = name.individual.substr(0, colon);
   std::string path = name.individual.substr(colon + 1);
 
-  std::string key = "file|" + AsciiToLower(host);
-  Result<WireValue> cached = cache_.Get(key);
+  const InlineKey key = NsmCacheKey("file", host);
+  Result<WireValue> cached = cache_.Get(key.view());
   if (cached.ok()) {
     HCS_ASSIGN_OR_RETURN(WireValue binding_wire, cached->Field("binding"));
     HCS_ASSIGN_OR_RETURN(HrpcBinding binding, HrpcBinding::FromWire(binding_wire));
@@ -67,7 +67,7 @@ Result<WireValue> BindFileServiceNsm::Query(const HnsName& name, const WireValue
   binding.control = ControlKind::kSunRpc;
   binding.bind_protocol = BindProtocol::kStatic;
 
-  cache_.Put(key, RecordBuilder().Value("binding", binding.ToWire()).Build(), 3600);
+  cache_.Put(key.view(), RecordBuilder().Value("binding", binding.ToWire()).Build(), 3600);
   return FileServiceResult(kFileFlavorNfs, path, binding);
 }
 
@@ -93,8 +93,8 @@ Result<WireValue> ChFileServiceNsm::Query(const HnsName& name, const WireValue& 
   HCS_ASSIGN_OR_RETURN(ChName host, ChName::Parse(name.individual.substr(0, bang)));
   std::string file = name.individual.substr(bang + 1);
 
-  std::string key = "file|" + AsciiToLower(host.ToString());
-  Result<WireValue> cached = cache_.Get(key);
+  const InlineKey key = NsmCacheKey("file", host.ToString());
+  Result<WireValue> cached = cache_.Get(key.view());
   if (cached.ok()) {
     HCS_ASSIGN_OR_RETURN(WireValue binding_wire, cached->Field("binding"));
     HCS_ASSIGN_OR_RETURN(HrpcBinding binding, HrpcBinding::FromWire(binding_wire));
@@ -117,7 +117,7 @@ Result<WireValue> ChFileServiceNsm::Query(const HnsName& name, const WireValue& 
   binding.control = ControlKind::kCourier;
   binding.bind_protocol = BindProtocol::kCourierCh;
 
-  cache_.Put(key, RecordBuilder().Value("binding", binding.ToWire()).Build(), 600);
+  cache_.Put(key.view(), RecordBuilder().Value("binding", binding.ToWire()).Build(), 600);
   return FileServiceResult(kFileFlavorXde, file, binding);
 }
 

@@ -6,6 +6,7 @@
 #define HCS_SRC_CH_NAME_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/common/result.h"
 
@@ -19,6 +20,10 @@ struct ChName {
   // Parses "object:domain:organization". All three parts are required and
   // non-empty.
   HCS_NODISCARD static Result<ChName> Parse(const std::string& text);
+  // Parse's check alone, on a view: OK exactly when Parse succeeds, else
+  // Parse's error. For a name that passes, Parse(text).ToString() == text,
+  // so a caller that only needs the text can skip building the ChName.
+  HCS_NODISCARD static Status CheckForm(std::string_view text);
 
   // "object:domain:organization".
   std::string ToString() const;

@@ -41,9 +41,11 @@ std::string AsciiToLower(std::string_view input) {
 }
 
 void AppendAsciiLower(std::string* out, std::string_view input) {
-  out->reserve(out->size() + input.size());
+  const size_t at = out->size();
+  out->resize(at + input.size());
+  char* p = out->data() + at;
   for (char c : input) {
-    out->push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    *p++ = AsciiLower(c);
   }
 }
 
@@ -108,8 +110,7 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
     return false;
   }
   for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
+    if (AsciiLower(a[i]) != AsciiLower(b[i])) {
       return false;
     }
   }

@@ -6,6 +6,7 @@
 
 #include <cstdarg>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,10 +23,65 @@ std::vector<std::string> StrSplit(std::string_view input, char sep);
 std::string StrJoin(const std::vector<std::string>& parts, std::string_view sep);
 
 // ASCII-only case folding (name services in this tree are case-insensitive
-// in the DNS tradition).
+// in the DNS tradition): 'A'-'Z' become 'a'-'z', every other byte is kept.
+// The same mapping as std::tolower in the "C" locale, which is the only
+// locale this tree runs in, without its per-character call.
+constexpr char AsciiLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
 std::string AsciiToLower(std::string_view input);
 // Appends `input` to `*out`, case-folded the same way, with no temporary.
 void AppendAsciiLower(std::string* out, std::string_view input);
+
+// A short key assembled in place for a cache probe: appending costs no heap
+// allocation until the key outgrows the inline buffer, after which it lives
+// in a std::string. Probe with view(); make a std::string from it only to
+// store the key.
+class InlineKey {
+ public:
+  InlineKey& Append(std::string_view text) {
+    if (!text.empty()) {  // an empty view's data() may be null, which memcpy rejects
+      std::memcpy(Grow(text.size()), text.data(), text.size());
+    }
+    return *this;
+  }
+  InlineKey& AppendLower(std::string_view text) {
+    char* p = Grow(text.size());
+    for (char c : text) {
+      *p++ = AsciiLower(c);
+    }
+    return *this;
+  }
+  InlineKey& Push(char c) {
+    *Grow(1) = c;
+    return *this;
+  }
+
+  std::string_view view() const {
+    return size_ <= kInlineBytes ? std::string_view(inline_, size_) : std::string_view(spill_);
+  }
+
+ private:
+  static constexpr size_t kInlineBytes = 128;
+
+  // Extends the key by `n` bytes and returns where they start.
+  char* Grow(size_t n) {
+    const size_t at = size_;
+    size_ += n;
+    if (size_ <= kInlineBytes) {
+      return inline_ + at;
+    }
+    if (at <= kInlineBytes) {
+      spill_.assign(inline_, at);
+    }
+    spill_.resize(size_);
+    return spill_.data() + at;
+  }
+
+  char inline_[kInlineBytes];
+  size_t size_ = 0;
+  std::string spill_;  // the key, once it is longer than kInlineBytes
+};
 
 // True when `s` starts with / ends with the given affix.
 bool StartsWith(std::string_view s, std::string_view prefix);

@@ -52,15 +52,11 @@ HnsCache::HnsCache(World* world, CacheMode mode, HnsCacheOptions options)
   }
 }
 
-HnsCache::Shard& HnsCache::ShardFor(const std::string& key) {
-  return *shards_[std::hash<std::string>{}(key) & shard_mask_];
+HnsCache::Shard& HnsCache::ShardFor(std::string_view key) {
+  return *shards_[std::hash<std::string_view>{}(key) & shard_mask_];
 }
 
-const HnsCache::Shard& HnsCache::ShardFor(const std::string& key) const {
-  return *shards_[std::hash<std::string>{}(key) & shard_mask_];
-}
-
-HnsCache::LookupResult HnsCache::Lookup(const std::string& key) {
+HnsCache::LookupResult HnsCache::Lookup(std::string_view key) {
   LookupResult result;
   if (mode_ == CacheMode::kNone) {
     ShardFor(key).stats.misses.fetch_add(1, std::memory_order_relaxed);
@@ -124,7 +120,7 @@ HnsCache::LookupResult HnsCache::Lookup(const std::string& key) {
   return result;
 }
 
-Result<WireValue> HnsCache::Get(const std::string& key, SimTime* expires_out) {
+Result<WireValue> HnsCache::Get(std::string_view key, SimTime* expires_out) {
   if (mode_ == CacheMode::kNone) {
     (void)Lookup(key);  // hcs:ignore-status(disabled-cache probe; only the miss-counter side effect matters)
     return NotFoundError("cache disabled");
@@ -137,11 +133,11 @@ Result<WireValue> HnsCache::Get(const std::string& key, SimTime* expires_out) {
       }
       return std::move(looked.value);
     case Probe::kNegativeHit:
-      return NotFoundError("negative cache entry: " + key);
+      return NotFoundError(std::string("negative cache entry: ").append(key));
     case Probe::kMiss:
       break;
   }
-  return NotFoundError("cache miss: " + key);
+  return NotFoundError(std::string("cache miss: ").append(key));
 }
 
 void HnsCache::Insert(Entry entry) {
@@ -173,7 +169,7 @@ void HnsCache::Insert(Entry entry) {
   }
 }
 
-void HnsCache::Put(const std::string& key, const WireValue& value, uint32_t ttl_seconds) {
+void HnsCache::Put(std::string_view key, const WireValue& value, uint32_t ttl_seconds) {
   if (mode_ == CacheMode::kNone) {
     return;
   }
@@ -191,7 +187,7 @@ void HnsCache::Put(const std::string& key, const WireValue& value, uint32_t ttl_
   Insert(std::move(entry));
 }
 
-void HnsCache::PutNegative(const std::string& key, uint32_t ttl_seconds) {
+void HnsCache::PutNegative(std::string_view key, uint32_t ttl_seconds) {
   if (mode_ == CacheMode::kNone) {
     return;
   }
@@ -206,14 +202,13 @@ void HnsCache::PutNegative(const std::string& key, uint32_t ttl_seconds) {
   Insert(std::move(entry));
 }
 
-void HnsCache::Unlink(Shard* shard,
-                      std::unordered_map<std::string, std::list<Entry>::iterator>::iterator it) {
+void HnsCache::Unlink(Shard* shard, Index::iterator it) {
   shard->bytes.fetch_sub(it->second->bytes, std::memory_order_relaxed);
   shard->lru.erase(it->second);
   shard->index.erase(it);
 }
 
-void HnsCache::Remove(const std::string& key) {
+void HnsCache::Remove(std::string_view key) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
   auto it = shard.index.find(key);
@@ -315,8 +310,11 @@ Status HnsCache::CheckInvariants() const {
 
 namespace {
 
-std::string CompositeKey(const std::string& context, const std::string& query_class) {
-  return AsciiToLower(context) + '\x1f' + AsciiToLower(query_class);
+// "context\x1fqc", lower-cased, assembled without a heap allocation.
+InlineKey CompositeKey(std::string_view context, std::string_view query_class) {
+  InlineKey key;
+  key.AppendLower(context).Push('\x1f').AppendLower(query_class);
+  return key;
 }
 
 // Budget/copy-cost estimate of one composed entry: strings + binding words.
@@ -328,24 +326,19 @@ size_t CompositeEntryBytes(const CompositeEntry& entry) {
 
 }  // namespace
 
-CompositeBindingCache::Shard& CompositeBindingCache::ShardFor(const std::string& key) {
-  return shards_[std::hash<std::string>{}(key) % kShards];
+CompositeBindingCache::Shard& CompositeBindingCache::ShardFor(std::string_view key) {
+  return shards_[std::hash<std::string_view>{}(key) % kShards];
 }
 
-const CompositeBindingCache::Shard& CompositeBindingCache::ShardFor(
-    const std::string& key) const {
-  return shards_[std::hash<std::string>{}(key) % kShards];
-}
-
-std::optional<CompositeEntry> CompositeBindingCache::Get(const std::string& context,
-                                                         const std::string& query_class) {
+std::optional<CompositeHit> CompositeBindingCache::Get(std::string_view context,
+                                                       std::string_view query_class) {
   if (world_ != nullptr) {
     world_->ChargeMs(world_->costs().cache_probe_ms);
   }
-  std::string key = CompositeKey(context, query_class);
-  Shard& shard = ShardFor(key);
+  const InlineKey key = CompositeKey(context, query_class);
+  Shard& shard = ShardFor(key.view());
   MutexLock lock(shard.mu);
-  auto it = shard.entries.find(key);
+  auto it = shard.entries.find(key.view());
   if (it == shard.entries.end()) {
     counters_.misses.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
@@ -358,12 +351,13 @@ std::optional<CompositeEntry> CompositeBindingCache::Get(const std::string& cont
     return std::nullopt;
   }
   counters_.hits.fetch_add(1, std::memory_order_relaxed);
-  // The entry is already composed and demarshalled: a hit costs one copy.
+  // The entry is already composed and demarshalled: a hit costs one copy,
+  // charged by the whole entry's size as the cost model always has.
   if (world_ != nullptr) {
     world_->ChargeMs(world_->costs().cache_copy_per_record_ms *
                      static_cast<double>(MarshalUnitsForBytes(CompositeEntryBytes(it->second))));
   }
-  return it->second;
+  return CompositeHit{it->second.nsm_name, it->second.binding};
 }
 
 void CompositeBindingCache::Put(CompositeEntry entry) {

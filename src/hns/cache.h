@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -115,24 +116,25 @@ class HnsCache {
   const HnsCacheOptions& options() const { return options_; }
 
   // Probes `key`. Charges the probe and, on a positive hit, the mode's
-  // access cost. A hit refreshes the entry's LRU position.
-  LookupResult Lookup(const std::string& key);
+  // access cost. A hit refreshes the entry's LRU position. The probe
+  // allocates nothing but the value it returns: keys are looked up as views.
+  LookupResult Lookup(std::string_view key);
 
   // Convenience wrapper over Lookup: kNotFound on miss, negative hit, or
   // TTL expiry. `expires_out`, when non-null, receives the entry's expiry
   // on a positive hit (used for min-TTL composition).
-  HCS_NODISCARD Result<WireValue> Get(const std::string& key, SimTime* expires_out = nullptr);
+  HCS_NODISCARD Result<WireValue> Get(std::string_view key, SimTime* expires_out = nullptr);
 
   // Inserts `value` under `key` with the given TTL. In marshalled mode the
   // value's wire form is what gets stored. May evict LRU entries to respect
   // the byte budget.
-  void Put(const std::string& key, const WireValue& value, uint32_t ttl_seconds);
+  void Put(std::string_view key, const WireValue& value, uint32_t ttl_seconds);
 
   // Records that `key` does not exist upstream, for `ttl_seconds` (0 = the
   // configured negative TTL).
-  void PutNegative(const std::string& key, uint32_t ttl_seconds = 0);
+  void PutNegative(std::string_view key, uint32_t ttl_seconds = 0);
 
-  void Remove(const std::string& key);
+  void Remove(std::string_view key);
   void Clear();
   size_t size() const;
 
@@ -180,10 +182,18 @@ class HnsCache {
     std::atomic<uint64_t> negative_hits{0};
     std::atomic<uint64_t> coalesced_misses{0};
   };
+  // Transparent hash: the index is probed with string_views, hashed exactly
+  // as the std::string keys it stores.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const { return std::hash<std::string_view>{}(key); }
+  };
+  using Index =
+      std::unordered_map<std::string, std::list<Entry>::iterator, KeyHash, std::equal_to<>>;
   struct Shard {
     mutable Mutex mu{"hns-cache-shard"};
     std::list<Entry> lru HCS_GUARDED_BY(mu);  // front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index HCS_GUARDED_BY(mu);
+    Index index HCS_GUARDED_BY(mu);
     // Structural (budget decisions read it under mu), but atomic so
     // ApproximateBytes()/stats() read it lock-free; only mutated under mu.
     std::atomic<size_t> bytes{0};
@@ -191,15 +201,12 @@ class HnsCache {
   };
 
   SimTime Now() const { return CacheNow(world_); }
-  Shard& ShardFor(const std::string& key);
-  const Shard& ShardFor(const std::string& key) const;
+  Shard& ShardFor(std::string_view key);
   // Inserts an entry (positive or negative), evicting from the shard's LRU
   // tail while over the per-shard byte budget.
   void Insert(Entry entry);
   // Unlinks `it` from `shard`, updating the byte total.
-  static void Unlink(Shard* shard,
-                     std::unordered_map<std::string, std::list<Entry>::iterator>::iterator it)
-      HCS_REQUIRES(shard->mu);
+  static void Unlink(Shard* shard, Index::iterator it) HCS_REQUIRES(shard->mu);
 
   World* world_;
   CacheMode mode_;
@@ -224,6 +231,13 @@ struct CompositeEntry {
   SimTime expires = 0;
 };
 
+// What a composite hit hands back: the composed answer only. The
+// invalidation metadata stays in the cache.
+struct CompositeHit {
+  std::string nsm_name;
+  HrpcBinding binding;
+};
+
 class CompositeBindingCache {
  public:
   explicit CompositeBindingCache(World* world) : world_(world) {}
@@ -231,10 +245,11 @@ class CompositeBindingCache {
   CompositeBindingCache(const CompositeBindingCache&) = delete;
   CompositeBindingCache& operator=(const CompositeBindingCache&) = delete;
 
-  // One probe (charged); on a hit, one copy (charged). Expired entries are
-  // reaped and reported as misses.
-  std::optional<CompositeEntry> Get(const std::string& context,
-                                    const std::string& query_class);
+  // One probe (charged); on a hit, one copy (charged) of the NSM name and
+  // binding. The key is case-folded in place, so a probe allocates nothing
+  // but the hit it returns. Expired entries are reaped and reported as
+  // misses.
+  std::optional<CompositeHit> Get(std::string_view context, std::string_view query_class);
 
   // `expires` is absolute (the min of the constituent expiries, already
   // capped by the caller).
@@ -267,8 +282,8 @@ class CompositeBindingCache {
 
   struct Shard {
     mutable Mutex mu{"hns-composite-shard"};
-    // By "context\x1fqc", lower-cased.
-    std::map<std::string, CompositeEntry> entries HCS_GUARDED_BY(mu);
+    // By "context\x1fqc", lower-cased; probed with string_views.
+    std::map<std::string, CompositeEntry, std::less<>> entries HCS_GUARDED_BY(mu);
   };
   // Counters are relaxed atomics (pure tallies; see HnsCache::ShardStats).
   // `bytes` is mutated only under the owning shard's mu but read lock-free.
@@ -282,8 +297,7 @@ class CompositeBindingCache {
   };
 
   SimTime Now() const { return CacheNow(world_); }
-  Shard& ShardFor(const std::string& key);
-  const Shard& ShardFor(const std::string& key) const;
+  Shard& ShardFor(std::string_view key);
 
   World* world_;
   std::array<Shard, kShards> shards_;

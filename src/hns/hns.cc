@@ -30,12 +30,14 @@ Status Hns::LinkNsm(std::shared_ptr<Nsm> nsm) {
   return Status::Ok();
 }
 
-bool Hns::HasLinkedNsm(const std::string& nsm_name) const {
-  return linked_nsms_.count(AsciiToLower(nsm_name)) != 0;
+bool Hns::HasLinkedNsm(std::string_view nsm_name) const {
+  return LinkedNsm(nsm_name) != nullptr;
 }
 
-Nsm* Hns::LinkedNsm(const std::string& nsm_name) const {
-  auto it = linked_nsms_.find(AsciiToLower(nsm_name));
+Nsm* Hns::LinkedNsm(std::string_view nsm_name) const {
+  InlineKey key;
+  key.AppendLower(nsm_name);
+  auto it = linked_nsms_.find(key.view());
   return it == linked_nsms_.end() ? nullptr : it->second.get();
 }
 
@@ -54,7 +56,7 @@ Result<NsmHandle> Hns::FindNsm(const HnsName& name, const QueryClass& query_clas
   // fully-resolved handle, instead of six record-cache probes (and six stub
   // demarshals in marshalled mode).
   if (options_.composite_cache) {
-    if (std::optional<CompositeEntry> hit = composite_.Get(name.context, query_class)) {
+    if (std::optional<CompositeHit> hit = composite_.Get(name.context, query_class)) {
       NsmHandle handle;
       handle.linked = LinkedNsm(hit->nsm_name);
       handle.nsm_name = std::move(hit->nsm_name);

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -98,8 +99,8 @@ class Hns {
   // components of one process (client + agent, say).
   HCS_NODISCARD Status LinkNsm(std::shared_ptr<Nsm> nsm);
   // True when an NSM of this name is linked here.
-  bool HasLinkedNsm(const std::string& nsm_name) const;
-  Nsm* LinkedNsm(const std::string& nsm_name) const;
+  bool HasLinkedNsm(std::string_view nsm_name) const;
+  Nsm* LinkedNsm(std::string_view nsm_name) const;
 
   // --- Registration ----------------------------------------------------------
   // Forwarded to the meta store (dynamic updates to the modified BIND);
@@ -143,7 +144,8 @@ class Hns {
   HnsCache cache_;
   CompositeBindingCache composite_;
   MetaStore meta_;
-  std::map<std::string, std::shared_ptr<Nsm>> linked_nsms_;  // by lower-cased name
+  // By lower-cased name; probed with a name folded in place.
+  std::map<std::string, std::shared_ptr<Nsm>, std::less<>> linked_nsms_;
 };
 
 }  // namespace hcs

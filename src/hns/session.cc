@@ -133,13 +133,16 @@ Result<NsmHandle> HnsSession::DecodeFindNsmReply(const Bytes& reply) {
   HCS_ASSIGN_OR_RETURN(FindNsmResponse response, FindNsmResponse::Decode(reply));
 
   NsmHandle handle;
-  handle.nsm_name = response.nsm_name;
-  handle.binding = response.binding;
+  handle.nsm_name = std::move(response.nsm_name);
+  handle.binding = std::move(response.binding);
   // Prefer an instance linked into this process, when the arrangement has
   // one (row 3: [HNS] [Client, NSMs]).
-  auto it = linked_nsms_.find(AsciiToLower(response.nsm_name));
-  if (options_.nsm_location == NsmLocation::kLinked && it != linked_nsms_.end()) {
-    handle.linked = it->second.get();
+  if (options_.nsm_location == NsmLocation::kLinked) {
+    InlineKey key;
+    key.AppendLower(handle.nsm_name);
+    if (auto it = linked_nsms_.find(key.view()); it != linked_nsms_.end()) {
+      handle.linked = it->second.get();
+    }
   }
   return handle;
 }

@@ -114,7 +114,8 @@ class HnsSession {
   RpcClient rpc_client_;
   SessionOptions options_;
   std::unique_ptr<Hns> hns_;  // present when hns_location == kLinked
-  std::map<std::string, std::shared_ptr<Nsm>> linked_nsms_;
+  // By lower-cased name; probed with a name folded in place.
+  std::map<std::string, std::shared_ptr<Nsm>, std::less<>> linked_nsms_;
 };
 
 }  // namespace hcs

@@ -65,9 +65,9 @@ Result<WireValue> BindHostAddressNsm::Query(const HnsName& name, const WireValue
   (void)args;
   // Individual name -> local name: identity for BIND systems.
   const std::string& local_name = name.individual;
-  std::string key = NsmCacheKey("ha", local_name);
+  const InlineKey key = NsmCacheKey("ha", local_name);
 
-  Result<WireValue> cached = cache_.Get(key);
+  Result<WireValue> cached = cache_.Get(key.view());
   if (cached.ok()) {
     return cached;
   }
@@ -78,7 +78,7 @@ Result<WireValue> BindHostAddressNsm::Query(const HnsName& name, const WireValue
 
   WireValue result =
       RecordBuilder().U32("address", address).Str("host", local_name).Build();
-  cache_.Put(key, result, MinTtl(records));
+  cache_.Put(key.view(), result, MinTtl(records));
   return result;
 }
 
@@ -94,14 +94,15 @@ BindBindingNsm::BindBindingNsm(World* world, const std::string& locus_host,
 
 Result<WireValue> BindBindingNsm::Query(const HnsName& name, const WireValue& args) {
   HCS_RETURN_IF_ERROR(CheckBudget("BindBindingNsm"));
-  HCS_ASSIGN_OR_RETURN(std::string service, args.StringField("service"));
+  HCS_ASSIGN_OR_RETURN(std::string_view service_view, args.StringFieldView("service"));
   const std::string& host = name.individual;
-  std::string key = NsmCacheKey("bind", host, service);
+  const InlineKey key = NsmCacheKey("bind", host, service_view);
 
-  Result<WireValue> cached = cache_.Get(key);
+  Result<WireValue> cached = cache_.Get(key.view());
   if (cached.ok()) {
     return cached;
   }
+  const std::string service(service_view);
 
   // 1. The host's address, from its BIND zone.
   HCS_ASSIGN_OR_RETURN(std::vector<ResourceRecord> address_records,
@@ -136,7 +137,7 @@ Result<WireValue> BindBindingNsm::Query(const HnsName& name, const WireValue& ar
   binding.bind_protocol = BindProtocol::kSunPortmap;
 
   WireValue result = binding.ToWire();
-  cache_.Put(key, result, std::min(MinTtl(address_records), MinTtl(service_records)));
+  cache_.Put(key.view(), result, std::min(MinTtl(address_records), MinTtl(service_records)));
   return result;
 }
 
@@ -154,9 +155,9 @@ Result<WireValue> BindMailboxNsm::Query(const HnsName& name, const WireValue& ar
   HCS_RETURN_IF_ERROR(CheckBudget("BindMailboxNsm"));
   (void)args;
   const std::string& domain = name.individual;
-  std::string key = NsmCacheKey("mx", domain);
+  const InlineKey key = NsmCacheKey("mx", domain);
 
-  Result<WireValue> cached = cache_.Get(key);
+  Result<WireValue> cached = cache_.Get(key.view());
   if (cached.ok()) {
     return cached;
   }
@@ -190,7 +191,7 @@ Result<WireValue> BindMailboxNsm::Query(const HnsName& name, const WireValue& ar
 
   WireValue result =
       RecordBuilder().Str("mail_host", best_host).U32("preference", best_preference).Build();
-  cache_.Put(key, result, MinTtl(records));
+  cache_.Put(key.view(), result, MinTtl(records));
   return result;
 }
 

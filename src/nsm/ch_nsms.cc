@@ -18,15 +18,17 @@ ChHostAddressNsm::ChHostAddressNsm(World* world, const std::string& locus_host,
 Result<WireValue> ChHostAddressNsm::Query(const HnsName& name, const WireValue& args) {
   HCS_RETURN_IF_ERROR(CheckBudget("ChHostAddressNsm"));
   (void)args;
-  // Individual name -> local name: the native three-part Clearinghouse name.
-  HCS_ASSIGN_OR_RETURN(ChName local_name, ChName::Parse(name.individual));
-  std::string key = NsmCacheKey("ha", local_name.ToString());
+  // Individual name -> local name: the native three-part Clearinghouse name,
+  // checked in place; the ChName is built only on a miss.
+  HCS_RETURN_IF_ERROR(ChName::CheckForm(name.individual));
+  const InlineKey key = NsmCacheKey("ha", name.individual);
 
-  Result<WireValue> cached = cache_.Get(key);
+  Result<WireValue> cached = cache_.Get(key.view());
   if (cached.ok()) {
     return cached;
   }
 
+  HCS_ASSIGN_OR_RETURN(ChName local_name, ChName::Parse(name.individual));
   HCS_ASSIGN_OR_RETURN(ChRetrieveItemResponse response,
                        client_stub_.RetrieveItem(local_name, kChPropAddress));
   HCS_ASSIGN_OR_RETURN(uint32_t address, response.item.Uint32Field("address"));
@@ -35,7 +37,7 @@ Result<WireValue> ChHostAddressNsm::Query(const HnsName& name, const WireValue& 
                          .U32("address", address)
                          .Str("host", response.distinguished_name.ToString())
                          .Build();
-  cache_.Put(key, result, kChNsmCacheTtlSeconds);
+  cache_.Put(key.view(), result, kChNsmCacheTtlSeconds);
   return result;
 }
 
@@ -51,15 +53,16 @@ ChBindingNsm::ChBindingNsm(World* world, const std::string& locus_host, Transpor
 
 Result<WireValue> ChBindingNsm::Query(const HnsName& name, const WireValue& args) {
   HCS_RETURN_IF_ERROR(CheckBudget("ChBindingNsm"));
-  HCS_ASSIGN_OR_RETURN(std::string service, args.StringField("service"));
-  HCS_ASSIGN_OR_RETURN(ChName local_name, ChName::Parse(name.individual));
-  std::string key = NsmCacheKey("ch", local_name.ToString(), service);
+  HCS_ASSIGN_OR_RETURN(std::string_view service, args.StringFieldView("service"));
+  HCS_RETURN_IF_ERROR(ChName::CheckForm(name.individual));
+  const InlineKey key = NsmCacheKey("ch", name.individual, service);
 
-  Result<WireValue> cached = cache_.Get(key);
+  Result<WireValue> cached = cache_.Get(key.view());
   if (cached.ok()) {
     return cached;
   }
 
+  HCS_ASSIGN_OR_RETURN(ChName local_name, ChName::Parse(name.individual));
   // 1. The service registration the exporter wrote into the Clearinghouse.
   HCS_ASSIGN_OR_RETURN(ChRetrieveItemResponse service_item,
                        client_stub_.RetrieveItem(local_name, kChPropService));
@@ -79,7 +82,7 @@ Result<WireValue> ChBindingNsm::Query(const HnsName& name, const WireValue& args
                    world_->costs().net_rtt_cross_host_ms);
 
   HrpcBinding binding;
-  binding.service_name = service;
+  binding.service_name = std::string(service);
   binding.host = address_item.distinguished_name.ToString();
   binding.address = address;
   binding.port = static_cast<uint16_t>(port);
@@ -91,7 +94,7 @@ Result<WireValue> ChBindingNsm::Query(const HnsName& name, const WireValue& args
   binding.bind_protocol = BindProtocol::kCourierCh;
 
   WireValue result = binding.ToWire();
-  cache_.Put(key, result, kChNsmCacheTtlSeconds);
+  cache_.Put(key.view(), result, kChNsmCacheTtlSeconds);
   return result;
 }
 
@@ -108,20 +111,21 @@ ChMailboxNsm::ChMailboxNsm(World* world, const std::string& locus_host, Transpor
 Result<WireValue> ChMailboxNsm::Query(const HnsName& name, const WireValue& args) {
   HCS_RETURN_IF_ERROR(CheckBudget("ChMailboxNsm"));
   (void)args;
-  HCS_ASSIGN_OR_RETURN(ChName local_name, ChName::Parse(name.individual));
-  std::string key = NsmCacheKey("mb", local_name.ToString());
+  HCS_RETURN_IF_ERROR(ChName::CheckForm(name.individual));
+  const InlineKey key = NsmCacheKey("mb", name.individual);
 
-  Result<WireValue> cached = cache_.Get(key);
+  Result<WireValue> cached = cache_.Get(key.view());
   if (cached.ok()) {
     return cached;
   }
 
+  HCS_ASSIGN_OR_RETURN(ChName local_name, ChName::Parse(name.individual));
   HCS_ASSIGN_OR_RETURN(ChRetrieveItemResponse response,
                        client_stub_.RetrieveItem(local_name, kChPropMailboxes));
   HCS_ASSIGN_OR_RETURN(std::string mail_host, response.item.StringField("mail_host"));
 
   WireValue result = RecordBuilder().Str("mail_host", mail_host).U32("preference", 0).Build();
-  cache_.Put(key, result, kChNsmCacheTtlSeconds);
+  cache_.Put(key.view(), result, kChNsmCacheTtlSeconds);
   return result;
 }
 

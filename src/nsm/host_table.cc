@@ -82,9 +82,9 @@ Result<WireValue> HostTableHostAddressNsm::Query(const HnsName& name, const Wire
   HCS_RETURN_IF_ERROR(CheckBudget("HostTableHostAddressNsm"));
   (void)args;
   const std::string& local_name = name.individual;
-  std::string key = NsmCacheKey("ht", local_name);
+  const InlineKey key = NsmCacheKey("ht", local_name);
 
-  Result<WireValue> cached = cache_.Get(key);
+  Result<WireValue> cached = cache_.Get(key.view());
   if (cached.ok()) {
     return cached;
   }
@@ -104,7 +104,7 @@ Result<WireValue> HostTableHostAddressNsm::Query(const HnsName& name, const Wire
   }
 
   WireValue result = RecordBuilder().U32("address", address).Str("host", local_name).Build();
-  cache_.Put(key, result, 300);
+  cache_.Put(key.view(), result, 300);
   return result;
 }
 

@@ -26,22 +26,17 @@
 namespace hcs {
 
 // An NSM cache key, "<tag>|<part>[|<second>]" with the parts case-folded,
-// built in one allocation: a warm query computes one per hit.
-inline std::string NsmCacheKey(std::string_view tag, std::string_view part) {
-  std::string key;
-  key.reserve(tag.size() + 1 + part.size());
-  key.append(tag).push_back('|');
-  AppendAsciiLower(&key, part);
+// built in place: a warm query probes with view() and allocates no key; a
+// miss makes the one std::string the cache stores.
+inline InlineKey NsmCacheKey(std::string_view tag, std::string_view part) {
+  InlineKey key;
+  key.Append(tag).Push('|').AppendLower(part);
   return key;
 }
-inline std::string NsmCacheKey(std::string_view tag, std::string_view part,
-                               std::string_view second) {
-  std::string key;
-  key.reserve(tag.size() + part.size() + second.size() + 2);
-  key.append(tag).push_back('|');
-  AppendAsciiLower(&key, part);
-  key.push_back('|');
-  AppendAsciiLower(&key, second);
+inline InlineKey NsmCacheKey(std::string_view tag, std::string_view part,
+                             std::string_view second) {
+  InlineKey key;
+  key.Append(tag).Push('|').AppendLower(part).Push('|').AppendLower(second);
   return key;
 }
 

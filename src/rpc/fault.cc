@@ -40,12 +40,12 @@ uint64_t Mix64(uint64_t x) {
   return x;
 }
 
-// The per-decision PRNG seed: a pure function of (injector seed, endpoint,
-// per-endpoint sequence number). This is the whole replay story — the draw
-// for decision N toward an endpoint does not depend on traffic to any other
-// endpoint or on thread interleaving.
-uint64_t DecisionSeed(uint64_t seed, const std::string& endpoint_key, uint64_t sequence) {
-  return Mix64(seed ^ Mix64(HashKey(endpoint_key) ^ Mix64(sequence + 0x9e3779b97f4a7c15ULL)));
+// The per-decision PRNG seed: a pure function of (injector seed, stream
+// name, per-endpoint sequence number). This is the whole replay story — the
+// draw for decision N toward an endpoint does not depend on traffic to any
+// other endpoint or on thread interleaving.
+uint64_t DecisionSeed(uint64_t seed, const std::string& stream, uint64_t sequence) {
+  return Mix64(seed ^ Mix64(HashKey(stream) ^ Mix64(sequence + 0x9e3779b97f4a7c15ULL)));
 }
 
 // Keep traces bounded: a runaway scenario must not turn the injector into
@@ -148,7 +148,18 @@ const FaultSpec* FaultInjector::ActiveSpec(const std::string& host_key,
 FaultDecision FaultInjector::Decide(const std::string& host, uint16_t port) {
   std::string host_key = AsciiToLower(host);
   std::string endpoint_key = EndpointKeyOf(host_key, port);
+  return DecideOn(host_key, endpoint_key, endpoint_key);
+}
 
+FaultDecision FaultInjector::Decide(uint16_t local_port, uint32_t endpoint_ordinal) {
+  const std::string host_key = "local";
+  return DecideOn(host_key, EndpointKeyOf(host_key, local_port),
+                  host_key + "#" + std::to_string(endpoint_ordinal));
+}
+
+FaultDecision FaultInjector::DecideOn(const std::string& host_key,
+                                      const std::string& endpoint_key,
+                                      const std::string& stream) {
   MutexLock lock(mu_);
   FaultDecision decision;
   decision.sequence = sequence_[endpoint_key]++;
@@ -163,7 +174,7 @@ FaultDecision FaultInjector::Decide(const std::string& host, uint16_t port) {
       // Fixed draw order, every draw taken regardless of which probabilities
       // are zero: the PRNG consumption per decision is constant, so editing
       // one probability in a plan cannot shift any other decision's draws.
-      Rng rng(DecisionSeed(config_.seed, endpoint_key, decision.sequence));
+      Rng rng(DecisionSeed(config_.seed, stream, decision.sequence));
       decision.drop = rng.Bernoulli(spec->drop);
       decision.duplicate = rng.Bernoulli(spec->duplicate);
       decision.reorder = rng.Bernoulli(spec->reorder);
@@ -207,7 +218,7 @@ FaultDecision FaultInjector::Decide(const std::string& host, uint16_t port) {
     if (decision.corrupt) flags += 'C';
     if (decision.delay_ms > 0) flags += "+" + std::to_string(decision.delay_ms);
     if (flags.empty()) flags = ".";
-    trace_.push_back(endpoint_key + "#" + std::to_string(decision.sequence) + ":" + flags);
+    trace_.push_back(stream + "#" + std::to_string(decision.sequence) + ":" + flags);
   }
   return decision;
 }
@@ -423,18 +434,19 @@ void InstallGlobalFaultInjector(FaultInjector* injector) {
   g_installed_injector.store(injector, std::memory_order_release);
 }
 
-Status FilterInbound(FaultInjector* injector, uint16_t local_port, Bytes* message) {
-  return FilterInboundFrame(injector, local_port,
+Status FilterInbound(FaultInjector* injector, uint16_t local_port, uint32_t endpoint_ordinal,
+                     Bytes* message) {
+  return FilterInboundFrame(injector, local_port, endpoint_ordinal,
                             message != nullptr ? message->data() : nullptr,
                             message != nullptr ? message->size() : 0);
 }
 
-Status FilterInboundFrame(FaultInjector* injector, uint16_t local_port, uint8_t* data,
-                          size_t size) {
+Status FilterInboundFrame(FaultInjector* injector, uint16_t local_port,
+                          uint32_t endpoint_ordinal, uint8_t* data, size_t size) {
   if (injector == nullptr) {
     return Status::Ok();
   }
-  FaultDecision decision = injector->Decide("local", local_port);
+  FaultDecision decision = injector->Decide(local_port, endpoint_ordinal);
   if (decision.blackhole) {
     injector->NoteServerDrop();
     return UnavailableError("injected blackhole of inbound message on port " +

@@ -7,9 +7,11 @@
 // those conditions *reproducibly*:
 //
 //   - every probabilistic decision is drawn from a SplitMix64 stream that is
-//     a pure function of (seed, endpoint, per-endpoint sequence number), so
-//     a failing chaos run prints its seed and replays the same per-endpoint
-//     decision sequence regardless of thread interleaving;
+//     a pure function of (seed, endpoint identity, per-endpoint sequence
+//     number), so a failing chaos run prints its seed and replays the same
+//     per-endpoint decision sequence regardless of thread interleaving. The
+//     identity of a serve endpoint is its registration ordinal on its host,
+//     not its port, so servers on ephemeral ports replay too;
 //   - faults are described per endpoint ("host:port", "host", or "*") by a
 //     FaultPlan: a phased schedule of FaultSpecs, e.g. "healthy for 500 ms,
 //     blackhole for 2 s, then healed forever";
@@ -154,8 +156,18 @@ class FaultInjector {
   void ResetPhaseClocks();
 
   // Draws the decision for one message toward (host, port). Consumes a
-  // fixed number of PRNG values regardless of the active spec.
+  // fixed number of PRNG values regardless of the active spec. The stream
+  // is named "host:port": its seed, its trace label and its sequence.
   FaultDecision Decide(const std::string& host, uint16_t port);
+  // The same for a message arriving at serve port `local_port`, the
+  // `endpoint_ordinal`-th endpoint its host registered (0-based). Plans
+  // match on ("local", local_port) exactly as above, and the sequence is
+  // the port's, but the stream is seeded and traced as
+  // "local#<endpoint_ordinal>": an ephemeral port differs run to run, the
+  // registration order does not, so a seed replays the same inbound
+  // decisions on every run. Endpoints of two hosts that share an ordinal
+  // draw equal streams, each at its own sequence.
+  FaultDecision Decide(uint16_t local_port, uint32_t endpoint_ordinal);
 
   // Flips 1..3 bits of `frame` at positions derived from `salt` (a pure
   // function: the same salt corrupts the same frame the same way). Empty
@@ -185,6 +197,11 @@ class FaultInjector {
   };
 
   int64_t Now() const;
+  // Decide's body: plans match on (host_key, endpoint_key), the sequence
+  // counts per endpoint_key, and `stream` seeds the draws and labels the
+  // trace.
+  FaultDecision DecideOn(const std::string& host_key, const std::string& endpoint_key,
+                         const std::string& stream);
   // The spec currently in force for `endpoint_key` ("host:port"), honoring
   // plan precedence and phase schedules. Null when no plan matches.
   const FaultSpec* ActiveSpec(const std::string& host_key, const std::string& endpoint_key) const
@@ -241,21 +258,23 @@ FaultInjector* GlobalFaultInjector();
 // this with uninstall in their teardown.
 void InstallGlobalFaultInjector(FaultInjector* injector);
 
-// Serve-side inbound hook. Draws a decision for ("local", local_port) and
-// applies it to `message` in place (corruption, injected latency). Returns
+// Serve-side inbound hook. Draws the decision for a message arriving at
+// ("local", local_port), the `endpoint_ordinal`-th endpoint its host
+// registered (FaultInjector::Decide), and applies it to `message` in place
+// (corruption, injected latency). Returns
 // Ok when the message must be dispatched; a non-OK Status means the
 // injector discarded it and the caller must drop the message *and account
 // for it* — discarding the returned Status unexamined is a lint error
 // (tools/lint_failpaths.py), because a dropped-but-dispatched message
 // desynchronizes every replay. Passing a null `injector` is a no-op.
 HCS_NODISCARD Status FilterInbound(FaultInjector* injector, uint16_t local_port,
-                                   Bytes* message);
+                                   uint32_t endpoint_ordinal, Bytes* message);
 
 // Span variant for the UDP serve path: one decision per frame (never
 // per batch), corruption applied in place in the arrival buffer. Same
 // contract as FilterInbound — a non-OK Status means drop-and-account.
 HCS_NODISCARD Status FilterInboundFrame(FaultInjector* injector, uint16_t local_port,
-                                        uint8_t* data, size_t size);
+                                        uint32_t endpoint_ordinal, uint8_t* data, size_t size);
 
 // Gathers the injector's counters and the serving host's per-endpoint drop
 // counters into one FaultStats (either argument may be null).

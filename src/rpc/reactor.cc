@@ -62,6 +62,9 @@ struct Reactor::Endpoint {
   bool stream = false;
   bool concurrent = false;
   uint16_t port = 0;
+  // Registration order on this reactor since it started: the endpoint's
+  // fault-injection identity, stable where an ephemeral port is not.
+  uint32_t ordinal = 0;
   Handle handle{Handle::Kind::kUdp, nullptr};
 
   // Per-endpoint counters (relaxed; see Reactor::endpoint_stats).
@@ -306,6 +309,7 @@ Status Reactor::AddUdpEndpoint(int fd, SimService* service, ReactorEndpointOptio
   endpoint->stream = false;
   endpoint->concurrent = options.concurrent;
   endpoint->port = options.port;
+  endpoint->ordinal = static_cast<uint32_t>(endpoints_.size());
   endpoint->handle = Handle{Handle::Kind::kUdp, endpoint.get()};
   epoll_event ev{};
   ev.events = UdpInterest(*endpoint);
@@ -332,6 +336,7 @@ Status Reactor::AddStreamListener(int fd, SimService* service, ReactorEndpointOp
   endpoint->stream = true;
   endpoint->concurrent = options.concurrent;
   endpoint->port = options.port;
+  endpoint->ordinal = static_cast<uint32_t>(endpoints_.size());
   endpoint->handle = Handle{Handle::Kind::kListener, endpoint.get()};
   epoll_event ev{};
   ev.events = EPOLLIN;
@@ -665,8 +670,8 @@ void Reactor::ProcessUdpFrame(Endpoint* endpoint, UdpFrame& frame,
   // stays a pure function of (seed, endpoint, per-endpoint sequence)
   // whatever the batch geometry. Corruption rewrites the frame in place in
   // the batch arena.
-  Status admitted =
-      FilterInboundFrame(GlobalFaultInjector(), endpoint->port, frame.data, frame.size);
+  Status admitted = FilterInboundFrame(GlobalFaultInjector(), endpoint->port,
+                                       endpoint->ordinal, frame.data, frame.size);
   if (!admitted.ok()) {
     CountDrop(endpoint, 1);
     return;
@@ -789,7 +794,8 @@ void Reactor::HandleConnEvent(Conn* conn, uint32_t events, std::vector<uint8_t>&
     Submit(conn->endpoint, [this, shared, frame = std::move(frame), arrival_ms]() mutable {
       ScopedReceiveTimestamp stamp(arrival_ms);
       Endpoint* endpoint = shared->endpoint;
-      Status admitted = FilterInbound(GlobalFaultInjector(), endpoint->port, &frame);
+      Status admitted =
+          FilterInbound(GlobalFaultInjector(), endpoint->port, endpoint->ordinal, &frame);
       if (!admitted.ok()) {
         CountDrop(endpoint, 1);
         return;

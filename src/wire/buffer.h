@@ -75,20 +75,69 @@ class BufferReader {
   explicit BufferReader(const Bytes& data) : data_(data.data()), size_(data.size()) {}
   BufferReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
-  HCS_NODISCARD Result<uint8_t> GetU8();
-  HCS_NODISCARD Result<uint16_t> GetU16();
-  HCS_NODISCARD Result<uint32_t> GetU32();
-  HCS_NODISCARD Result<uint64_t> GetU64();
+  // Each read checks its bound inline and builds the underrun error out of
+  // line (Underrun), so a decode that stays in bounds pays one compare per
+  // primitive and no call.
+  HCS_NODISCARD Result<uint8_t> GetU8() {
+    if (!Has(1)) {
+      return Underrun(1);
+    }
+    return data_[pos_++];
+  }
+  HCS_NODISCARD Result<uint16_t> GetU16() {
+    if (!Has(2)) {
+      return Underrun(2);
+    }
+    uint16_t v = static_cast<uint16_t>(data_[pos_] << 8) | data_[pos_ + 1];
+    pos_ += 2;
+    return v;
+  }
+  HCS_NODISCARD Result<uint32_t> GetU32() {
+    if (!Has(4)) {
+      return Underrun(4);
+    }
+    uint32_t v = (static_cast<uint32_t>(data_[pos_]) << 24) |
+                 (static_cast<uint32_t>(data_[pos_ + 1]) << 16) |
+                 (static_cast<uint32_t>(data_[pos_ + 2]) << 8) |
+                 static_cast<uint32_t>(data_[pos_ + 3]);
+    pos_ += 4;
+    return v;
+  }
+  HCS_NODISCARD Result<uint64_t> GetU64() {
+    HCS_ASSIGN_OR_RETURN(uint32_t hi, GetU32());
+    HCS_ASSIGN_OR_RETURN(uint32_t lo, GetU32());
+    return (static_cast<uint64_t>(hi) << 32) | lo;
+  }
 
   // Reads exactly `n` bytes.
-  HCS_NODISCARD Result<Bytes> GetBytes(size_t n);
+  HCS_NODISCARD Result<Bytes> GetBytes(size_t n) {
+    if (!Has(n)) {
+      return Underrun(n);
+    }
+    Bytes out(data_ + pos_, data_ + pos_ + n);
+    pos_ += n;
+    return out;
+  }
 
   // Reads exactly `n` bytes as a view into the underlying buffer (no copy);
   // valid only while that buffer lives.
-  HCS_NODISCARD Result<BytesView> GetView(size_t n);
+  HCS_NODISCARD Result<BytesView> GetView(size_t n) {
+    if (!Has(n)) {
+      return Underrun(n);
+    }
+    BytesView out(data_ + pos_, n);
+    pos_ += n;
+    return out;
+  }
 
   // Skips `n` bytes (padding).
-  HCS_NODISCARD Status Skip(size_t n);
+  HCS_NODISCARD Status Skip(size_t n) {
+    if (!Has(n)) {
+      return Underrun(n);
+    }
+    pos_ += n;
+    return Status::Ok();
+  }
 
   // Bytes not yet consumed.
   size_t remaining() const { return size_ - pos_; }
@@ -97,7 +146,11 @@ class BufferReader {
   size_t position() const { return pos_; }
 
  private:
-  HCS_NODISCARD Status Need(size_t n) const;
+  // Phrased as a subtraction so a wire-supplied n near SIZE_MAX cannot wrap
+  // pos_ + n around and sneak past the bound (pos_ <= size_ always holds).
+  bool Has(size_t n) const { return n <= size_ - pos_; }
+  // The kProtocolError for a read of `n` bytes past the end.
+  [[gnu::cold, gnu::noinline]] Status Underrun(size_t n) const;
 
   const uint8_t* data_;
   size_t size_;

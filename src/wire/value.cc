@@ -94,7 +94,7 @@ Result<std::vector<WireField>> WireValue::AsRecord() const {
   return fields_;
 }
 
-const WireValue* WireValue::FindField(const std::string& name) const {
+const WireValue* WireValue::FindField(std::string_view name) const {
   if (kind_ != Kind::kRecord) {
     return nullptr;
   }
@@ -109,16 +109,16 @@ const WireValue* WireValue::FindField(const std::string& name) const {
 namespace {
 
 // Field()'s errors for a failed FindField.
-Status MissingField(const WireValue& record, const std::string& name) {
+Status MissingField(const WireValue& record, std::string_view name) {
   if (record.kind() != WireValue::Kind::kRecord) {
     return ProtocolError("wire value is not a record");
   }
-  return NotFoundError("record has no field: " + name);
+  return NotFoundError(std::string("record has no field: ").append(name));
 }
 
 }  // namespace
 
-Result<WireValue> WireValue::Field(const std::string& name) const {
+Result<WireValue> WireValue::Field(std::string_view name) const {
   const WireValue* field = FindField(name);
   if (field == nullptr) {
     return MissingField(*this, name);
@@ -126,15 +126,23 @@ Result<WireValue> WireValue::Field(const std::string& name) const {
   return *field;
 }
 
-Result<std::string> WireValue::StringField(const std::string& name) const {
+Result<std::string> WireValue::StringField(std::string_view name) const {
+  HCS_ASSIGN_OR_RETURN(std::string_view text, StringFieldView(name));
+  return std::string(text);
+}
+
+Result<std::string_view> WireValue::StringFieldView(std::string_view name) const {
   const WireValue* field = FindField(name);
   if (field == nullptr) {
     return MissingField(*this, name);
   }
-  return field->AsString();
+  if (field->kind_ != Kind::kString) {
+    return ProtocolError("wire value is not a string");
+  }
+  return std::string_view(field->str_);
 }
 
-Result<uint32_t> WireValue::Uint32Field(const std::string& name) const {
+Result<uint32_t> WireValue::Uint32Field(std::string_view name) const {
   const WireValue* field = FindField(name);
   if (field == nullptr) {
     return MissingField(*this, name);

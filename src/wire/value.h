@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -62,13 +63,16 @@ class WireValue {
 
   // Record field lookup by name (first match). kNotFound when absent,
   // kProtocolError when this value is not a record.
-  HCS_NODISCARD Result<WireValue> Field(const std::string& name) const;
+  HCS_NODISCARD Result<WireValue> Field(std::string_view name) const;
   // The same lookup without copying the field: null when this value is not
   // a record or has no such field. The pointer lives as long as this value.
-  const WireValue* FindField(const std::string& name) const;
+  const WireValue* FindField(std::string_view name) const;
   // Convenience: string/uint32 field access in one step, read in place.
-  HCS_NODISCARD Result<std::string> StringField(const std::string& name) const;
-  HCS_NODISCARD Result<uint32_t> Uint32Field(const std::string& name) const;
+  HCS_NODISCARD Result<std::string> StringField(std::string_view name) const;
+  HCS_NODISCARD Result<uint32_t> Uint32Field(std::string_view name) const;
+  // StringField without the copy: a view of the field's text, valid as long
+  // as this value. Same errors as StringField.
+  HCS_NODISCARD Result<std::string_view> StringFieldView(std::string_view name) const;
 
   // Number of leaf values — the "resource record count" analogue used by
   // the marshalling cost model.

@@ -336,7 +336,9 @@ Bytes EncodeEchoCall(uint32_t xid, const Bytes& args) {
 // Fires `count` requests at `port` from one socket without waiting between
 // sends (so the server's recvmmsg sees real multi-frame batches), then
 // counts the replies.
-int BurstEcho(uint16_t port, int count) {
+// Sends `count` echo calls to `port` from a fresh socket and returns the
+// socket, with a 2 s receive timeout, for the caller to read and close.
+int SendEchoBurst(uint16_t port, int count) {
   int fd = socket(AF_INET, SOCK_DGRAM, 0);
   EXPECT_GE(fd, 0);
   timeval tv{2, 0};
@@ -348,15 +350,47 @@ int BurstEcho(uint16_t port, int count) {
                      sizeof(addr)),
               static_cast<ssize_t>(frame.size()));
   }
+  return fd;
+}
+
+// Reads replies off `fd` until `count` arrived, or, with `flags` ==
+// MSG_DONTWAIT, until none is waiting; otherwise until the receive timeout.
+int ReadReplies(int fd, int count, int flags) {
   int replies = 0;
   std::vector<uint8_t> buf(2048);
   while (replies < count) {
-    ssize_t n = recv(fd, buf.data(), buf.size(), 0);
+    ssize_t n = recv(fd, buf.data(), buf.size(), flags);
     if (n < 0) {
-      break;  // timeout: report what arrived
+      break;  // timeout (or nothing waiting): report what arrived
     }
     ++replies;
   }
+  return replies;
+}
+
+int BurstEcho(uint16_t port, int count) {
+  int fd = SendEchoBurst(port, count);
+  int replies = ReadReplies(fd, count, 0);
+  close(fd);
+  return replies;
+}
+
+// For plans that drop every frame: sends `count` echo calls, waits until
+// `injector` has decided every one, stops `host` (its workers finish all
+// they had in hand, so any reply a dropped frame wrongly produced has been
+// sent), and returns the replies waiting on the client socket. Loopback
+// delivery is synchronous, so a nonblocking drain sees every such reply
+// without waiting out a receive timeout.
+int RepliesToDroppedBurst(UdpServerHost* host, uint16_t port, FaultInjector* injector,
+                          int count) {
+  int fd = SendEchoBurst(port, count);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline &&
+         injector->stats().decisions < static_cast<uint64_t>(count)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  host->StopAll();
+  int replies = ReadReplies(fd, count, MSG_DONTWAIT);
   close(fd);
   return replies;
 }
@@ -431,31 +465,24 @@ TEST(BatchIoTest, FaultDecisionsArePerFrameNotPerBatch) {
 
   EchoServerFixture fixture(/*batch=*/8);
   constexpr int kFrames = 24;
-  // All dropped: BurstEcho gets zero replies back.
-  EXPECT_EQ(BurstEcho(fixture.port(), kFrames), 0);
+  // All dropped: not one reply comes back.
+  EXPECT_EQ(RepliesToDroppedBurst(&fixture.host(), fixture.port(), &injector, kFrames), 0);
 
   // Every frame of every batch must have drawn its own decision; a
   // per-batch decision would leave decisions well short of kFrames.
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  FaultStats stats;
-  while (std::chrono::steady_clock::now() < deadline) {
-    stats = injector.stats();
-    if (stats.decisions >= kFrames) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  FaultStats stats = injector.stats();
   EXPECT_EQ(stats.decisions, static_cast<uint64_t>(kFrames));
   EXPECT_EQ(stats.server_drops, static_cast<uint64_t>(kFrames));
-  fixture.host().StopAll();
   InstallGlobalFaultInjector(nullptr);
 }
 
 TEST(BatchIoTest, DecisionSequenceMatchesSingleShotServing) {
   // The same traffic against batch=8 and batch=1 servers must consume
   // identical per-endpoint decision streams: pure function of (seed,
-  // endpoint, sequence), independent of batch geometry. Serve both on a
-  // fixed port one after the other and compare traces.
+  // endpoint, sequence), independent of batch geometry. Serve both, one
+  // after the other, and compare traces: each server's endpoint is the
+  // first its host registered, so both draw stream "local#0" whatever
+  // ephemeral port they landed on.
   auto run = [](int batch, std::vector<std::string>* trace_out) {
     FaultConfig config;
     config.seed = 7;
@@ -470,30 +497,16 @@ TEST(BatchIoTest, DecisionSequenceMatchesSingleShotServing) {
     InstallGlobalFaultInjector(&injector);
 
     EchoServerFixture fixture(batch);
-    EXPECT_EQ(BurstEcho(fixture.port(), 12), 0);
-    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (std::chrono::steady_clock::now() < deadline &&
-           injector.stats().decisions < 12) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    fixture.host().StopAll();
+    EXPECT_EQ(RepliesToDroppedBurst(&fixture.host(), fixture.port(), &injector, 12), 0);
     InstallGlobalFaultInjector(nullptr);
-    // Traces are "endpoint#sequence:flags"; strip the port (ephemeral,
-    // differs between the two servers) down to "#sequence:flags".
-    std::vector<std::string> trace = injector.TakeTrace();
-    for (std::string& line : trace) {
-      size_t hash = line.find('#');
-      if (hash != std::string::npos) {
-        line = line.substr(hash);
-      }
-    }
-    *trace_out = trace;
+    *trace_out = injector.TakeTrace();
   };
 
   std::vector<std::string> batched, single;
   run(8, &batched);
   run(1, &single);
   ASSERT_EQ(batched.size(), 12u);
+  EXPECT_EQ(batched.front(), "local#0#0:D");
   EXPECT_EQ(batched, single);
 }
 

@@ -4,6 +4,7 @@
 
 #include "src/ch/client.h"
 #include "src/ch/server.h"
+#include "src/common/strings.h"
 #include "src/rpc/ports.h"
 #include "src/rpc/transport.h"
 
@@ -28,6 +29,31 @@ TEST(ChNameTest, RejectsMalformed) {
   EXPECT_FALSE(ChName::Parse("a:b:c:d").ok());
   EXPECT_FALSE(ChName::Parse(":b:c").ok());
   EXPECT_FALSE(ChName::Parse("a::c").ok());
+}
+
+TEST(ChNameTest, CheckFormAgreesWithParse) {
+  // CheckForm is Parse's check alone: the same verdict and error text on
+  // every input, and a name that passes formats back to itself. The
+  // verdict is also held to the shape written out independently: three
+  // ':'-separated parts, none empty.
+  for (const char* text : {"Dorado:CSL:Xerox", "a:b:c", "onlyobject", "a:b", "a:b:c:d", ":b:c",
+                           "a::c", "a:b:", "", ":", "::", ":::", "a:b:c:", "a:b::c"}) {
+    const std::vector<std::string> parts = StrSplit(text, ':');
+    const bool well_formed = parts.size() == 3 && !parts[0].empty() && !parts[1].empty() &&
+                             !parts[2].empty();
+    Status checked = ChName::CheckForm(text);
+    Result<ChName> parsed = ChName::Parse(text);
+    EXPECT_EQ(checked.ok(), well_formed) << text;
+    EXPECT_EQ(checked, parsed.status()) << text;
+    if (parsed.ok()) {
+      EXPECT_EQ(parsed->ToString(), text);
+    } else {
+      EXPECT_EQ(checked.message(),
+                std::string("Clearinghouse names have the form object:domain:organization, "
+                            "got: ") +
+                    text);
+    }
+  }
 }
 
 TEST(ChNameTest, ComparisonIsCaseInsensitive) {

@@ -286,27 +286,27 @@ TEST(ChaosTest, PhasedPlanFollowsItsScheduleOnTheInjectedClock) {
 TEST(ChaosTest, FilterInboundAppliesDecisionsAndCountsDrops) {
   uint64_t seed = AnnounceSeed("FilterInboundAppliesDecisionsAndCountsDrops");
   Bytes message{1, 2, 3, 4};
-  ASSERT_TRUE(FilterInbound(nullptr, 80, &message).ok()) << "null injector is a no-op";
+  ASSERT_TRUE(FilterInbound(nullptr, 80, 0, &message).ok()) << "null injector is a no-op";
   EXPECT_EQ(message, (Bytes{1, 2, 3, 4}));
 
   FaultSpec drop_all;
   drop_all.drop = 1.0;
   FaultInjector dropper(FaultConfig{seed, {OnePhasePlan("local", drop_all)}});
-  Status dropped = FilterInbound(&dropper, 9999, &message);
+  Status dropped = FilterInbound(&dropper, 9999, 0, &message);
   EXPECT_EQ(dropped.code(), StatusCode::kTimeout);
   EXPECT_EQ(dropper.stats().server_drops, 1u);
 
   FaultSpec hole;
   hole.blackhole = true;
   FaultInjector blackholer(FaultConfig{seed, {OnePhasePlan("local", hole)}});
-  EXPECT_EQ(FilterInbound(&blackholer, 9999, &message).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(FilterInbound(&blackholer, 9999, 0, &message).code(), StatusCode::kUnavailable);
   EXPECT_EQ(blackholer.stats().blackholed, 1u);
 
   FaultSpec garble;
   garble.corrupt = 1.0;
   FaultInjector corrupter(FaultConfig{seed, {OnePhasePlan("local", garble)}});
   Bytes corrupted = message;
-  ASSERT_TRUE(FilterInbound(&corrupter, 9999, &corrupted).ok())
+  ASSERT_TRUE(FilterInbound(&corrupter, 9999, 0, &corrupted).ok())
       << "corrupted messages are still delivered";
   EXPECT_NE(corrupted, message);
   EXPECT_EQ(corrupter.stats().corruptions, 1u);
@@ -506,6 +506,73 @@ TEST(ChaosTest, CorruptAndDropInboundStormStaysLive) {
   // (its per-endpoint counters also cover garbled frames, so >=).
   EXPECT_GE(collected.EndpointDropTotal(), collected.server_drops);
   EXPECT_GT(collected.endpoint_drops.count(*port), 0u);
+}
+
+TEST(ChaosTest, InboundDecisionsReplayAcrossEphemeralPorts) {
+  // "Replay with HCS_CHAOS_SEED=N" must hold for servers on ephemeral
+  // ports: an inbound stream is named by the endpoint's registration
+  // ordinal on its host, not by its port. Two fresh servers, both alive so
+  // their ports differ, each under its own injector with the same seed,
+  // must draw identical decisions for identical traffic.
+  uint64_t seed = AnnounceSeed("InboundDecisionsReplayAcrossEphemeralPorts");
+  FaultSpec storm;
+  storm.drop = 0.3;
+  storm.corrupt = 0.3;
+  constexpr int kFrames = 40;
+  // Declared before the hosts: a worker may still be inside an injector
+  // until its host stops.
+  FaultInjector first(FaultConfig{seed, {OnePhasePlan("local", storm)}});
+  FaultInjector second(FaultConfig{seed, {OnePhasePlan("local", storm)}});
+
+  RpcServer first_server(ControlKind::kRaw, "chaos-replay-1");
+  RpcServer second_server(ControlKind::kRaw, "chaos-replay-2");
+  UdpServerHost first_host;
+  UdpServerHost second_host;
+  Result<uint16_t> first_port = first_host.Serve(&first_server, 0);
+  ASSERT_TRUE(first_port.ok()) << first_port.status();
+  Result<uint16_t> second_port = second_host.Serve(&second_server, 0);
+  ASSERT_TRUE(second_port.ok()) << second_port.status();
+  ASSERT_NE(*first_port, *second_port);
+
+  auto run = [&](FaultInjector* injector, uint16_t port) {
+    injector->set_trace_enabled(true);
+    ScopedGlobalInjector installed(injector);
+    int fd = socket(AF_INET, SOCK_DGRAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    for (int i = 0; i < kFrames; ++i) {
+      const uint8_t frame[4] = {0xc4, 0xa5, static_cast<uint8_t>(i), 0x01};
+      EXPECT_EQ(sendto(fd, frame, sizeof(frame), 0, reinterpret_cast<sockaddr*>(&addr),
+                       sizeof(addr)),
+                static_cast<ssize_t>(sizeof(frame)));
+    }
+    close(fd);
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::chrono::steady_clock::now() < deadline &&
+           injector->stats().decisions < static_cast<uint64_t>(kFrames)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return injector->TakeTrace();
+  };
+  std::vector<std::string> first_trace = run(&first, *first_port);
+  std::vector<std::string> second_trace = run(&second, *second_port);
+  first_host.StopAll();
+  second_host.StopAll();
+
+  ASSERT_EQ(first_trace.size(), static_cast<size_t>(kFrames));
+  EXPECT_EQ(first_trace.front().rfind("local#0#0:", 0), 0u) << first_trace.front();
+  EXPECT_EQ(first_trace, second_trace);
+  // The plan drew a mix, so equal traces compare real draws.
+  auto count = [&](char flag) {
+    return std::count_if(first_trace.begin(), first_trace.end(), [&](const std::string& line) {
+      return line.back() == flag;
+    });
+  };
+  EXPECT_GT(count('D'), 0);
+  EXPECT_GT(count('.'), 0);
 }
 
 TEST(ChaosTest, CorruptFrameStormOverStreamStaysLive) {

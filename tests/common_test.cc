@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "src/common/bytes.h"
 #include "src/common/rand.h"
 #include "src/common/result.h"
@@ -121,6 +123,47 @@ TEST(StringsTest, CaseFoldingIsAsciiOnly) {
   EXPECT_TRUE(EqualsIgnoreCase("BIND", "bind"));
   EXPECT_FALSE(EqualsIgnoreCase("BIND", "bin"));
   EXPECT_FALSE(EqualsIgnoreCase("BIND", "bine"));
+}
+
+TEST(StringsTest, FoldMatchesCLocaleToLowerOnEveryByte) {
+  // The tree never calls setlocale, so std::tolower runs in the "C" locale;
+  // the inline fold must agree with it on all 256 byte values, through
+  // every entry point that folds.
+  std::string all_bytes;
+  std::string expected;
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const char lowered = static_cast<char>(std::tolower(b));
+    EXPECT_EQ(AsciiLower(c), lowered) << "byte " << b;
+    EXPECT_TRUE(EqualsIgnoreCase(std::string(1, c), std::string(1, lowered))) << "byte " << b;
+    all_bytes.push_back(c);
+    expected.push_back(lowered);
+  }
+  EXPECT_EQ(AsciiToLower(all_bytes), expected);
+  std::string appended = "prefix|";
+  AppendAsciiLower(&appended, all_bytes);
+  EXPECT_EQ(appended, "prefix|" + expected);
+  InlineKey key;
+  key.AppendLower(all_bytes);
+  EXPECT_EQ(key.view(), expected);
+}
+
+TEST(StringsTest, InlineKeySpillsPastItsBufferIntact) {
+  // Short keys stay inline; a key that outgrows the buffer mid-append (and
+  // again after spilling) keeps every byte in order.
+  InlineKey key;
+  key.Append("tag").Push('|').AppendLower("MiXeD");
+  EXPECT_EQ(key.view(), "tag|mixed");
+  const std::string long_part(200, 'Q');
+  key.Push('|').AppendLower(long_part).Append("TAIL");
+  EXPECT_EQ(key.view(), "tag|mixed|" + std::string(200, 'q') + "TAIL");
+  InlineKey copy = key;
+  EXPECT_EQ(copy.view(), key.view());
+  InlineKey exact;
+  exact.Append(std::string(128, 'x'));
+  EXPECT_EQ(exact.view(), std::string(128, 'x'));
+  exact.Push('y');
+  EXPECT_EQ(exact.view(), std::string(128, 'x') + "y");
 }
 
 TEST(StringsTest, ParseU32AcceptsOnlyInRangeDecimals) {

@@ -7,6 +7,7 @@
 #include "src/hns/hns.h"
 #include "src/hns/meta_store.h"
 #include "src/hns/name.h"
+#include "src/nsm/nsm_base.h"
 #include "src/testbed/testbed.h"
 #include "src/workload/engine.h"
 
@@ -222,6 +223,53 @@ TEST_F(HnsCacheTest, ShardedCacheAggregatesAcrossShards) {
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.ApproximateBytes(), 0u);
+  EXPECT_TRUE(cache.CheckInvariants().ok());
+}
+
+TEST_F(HnsCacheTest, ViewProbesHitKeysInsertedUnderAnotherCase) {
+  // NSM keys are folded before they reach the cache, so a probe spelled in
+  // another case, and handed over as a view into a larger buffer rather
+  // than a std::string, finds the entry.
+  for (CacheMode mode : {CacheMode::kMarshalled, CacheMode::kDemarshalled}) {
+    HnsCache cache(&world_, mode);
+    cache.Put(NsmCacheKey("ha", "Fiji.CS.Washington.EDU").view(), WireValue::OfUint32(7), 60);
+    const std::string buffer = "ha|fiji.cs.washington.edu and trailing bytes";
+    const std::string_view probe = std::string_view(buffer).substr(0, 25);
+    Result<WireValue> hit = cache.Get(probe);
+    ASSERT_TRUE(hit.ok()) << hit.status();
+    EXPECT_EQ(*hit, WireValue::OfUint32(7));
+    EXPECT_TRUE(cache.Get(NsmCacheKey("ha", "FIJI.cs.WASHINGTON.edu").view()).ok());
+    EXPECT_EQ(cache.Get(std::string_view(buffer).substr(0, 24)).status(),
+              NotFoundError("cache miss: ha|fiji.cs.washington.ed"));
+    EXPECT_EQ(cache.stats().hits, 2u);
+    cache.Remove(probe);
+    EXPECT_EQ(cache.size(), 0u);
+  }
+}
+
+TEST_F(HnsCacheTest, CompositeHitCopiesOnlyTheAnswerUnderAnyCase) {
+  CompositeBindingCache cache(&world_);
+  CompositeEntry entry;
+  entry.context = "Mixed-Ctx";
+  entry.query_class = "HostAddress";
+  entry.nsm_name = "SomeNSM";
+  entry.ns_name = "SomeNS";
+  entry.binding.service_name = "SomeNSM";
+  entry.binding.host = "yakima.cs.washington.edu";
+  entry.binding.port = 1234;
+  entry.expires = CacheNow(&world_) + MsToSim(10'000.0);
+  cache.Put(entry);
+
+  const std::string buffer = "MIXED-ctxHOSTADDRESS";
+  std::optional<CompositeHit> hit = cache.Get(std::string_view(buffer).substr(0, 9),
+                                              std::string_view(buffer).substr(9));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->nsm_name, "SomeNSM");
+  EXPECT_EQ(hit->binding.host, "yakima.cs.washington.edu");
+  EXPECT_EQ(hit->binding.port, 1234);
+  EXPECT_FALSE(cache.Get("mixed-ct", "hostaddress").has_value());
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_TRUE(cache.CheckInvariants().ok());
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "src/common/strings.h"
 #include "src/nsm/bind_nsms.h"
 #include "src/nsm/ch_nsms.h"
@@ -73,6 +75,52 @@ TEST_F(NsmTest, HostAddressUnknownNames) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(NsmTest, MalformedChNamesFailAlikeColdAndWarm) {
+  // The CH NSMs check the object:domain:organization shape on the name as
+  // given and build the ChName only on a cache miss; the error, and its
+  // precedence after the service argument, must not depend on whether the
+  // cache is warm.
+  WireValue service_args = RecordBuilder().Str("service", kPrintService).Build();
+  struct Case {
+    const char* nsm;
+    const char* context;
+    const WireValue* args;
+    const char* valid_name;
+  };
+  const Case cases[] = {
+      {kNsmHostAddrCh, kContextCh, &no_args_, kXeroxServerHost},
+      {kNsmBindingCh, kContextChBinding, &service_args, kXeroxServerHost},
+      {kNsmMailboxCh, kContextChMail, &no_args_, "Purcell:CSL:Xerox"},
+  };
+  auto expect_rejected = [&](const Case& c) {
+    for (const char* bad : {"a:b", "a::c", "a:b:c:d"}) {
+      Status status = Find(c.nsm)->Query(Name(c.context, bad), *c.args).status();
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.nsm << " " << bad;
+      EXPECT_EQ(status.message(),
+                std::string("Clearinghouse names have the form object:domain:organization, "
+                            "got: ") +
+                    bad)
+          << c.nsm;
+    }
+  };
+  for (const Case& c : cases) {
+    expect_rejected(c);  // cold
+    ASSERT_TRUE(Find(c.nsm)->Query(Name(c.context, c.valid_name), *c.args).ok()) << c.nsm;
+    expect_rejected(c);  // warm
+    // A warm hit answers a name that differs only in case.
+    std::string shouted = AsciiToLower(c.valid_name);
+    for (char& ch : shouted) {
+      ch = static_cast<char>(std::toupper(static_cast<unsigned char>(ch)));
+    }
+    const uint64_t hits = Find(c.nsm)->cache()->stats().hits;
+    EXPECT_TRUE(Find(c.nsm)->Query(Name(c.context, shouted), *c.args).ok()) << c.nsm;
+    EXPECT_EQ(Find(c.nsm)->cache()->stats().hits, hits + 1) << c.nsm;
+  }
+  // The binding NSM reports a missing service argument before the name.
+  EXPECT_EQ(Find(kNsmBindingCh)->Query(Name(kContextChBinding, "a:b"), no_args_).status(),
+            NotFoundError("record has no field: service"));
 }
 
 TEST_F(NsmTest, NsmCacheAvoidsRemoteCalls) {
