@@ -1,9 +1,9 @@
 // Real-socket service-runtime sweep shared by bench_findnsm and
 // bench_workload: the same RPC service is hosted on the shared epoll
 // reactor once as a serial endpoint and once with concurrent dispatch,
-// then driven by N client threads with one request in flight each. The client drivers themselves (thread-per-call and the
-// async burst-refill window driver) live in src/workload/driver.h, shared
-// with the workload scenario suite; this header keeps only the
+// then driven by N client threads with one request in flight each. The
+// thread-per-call client driver itself lives in src/workload/driver.h,
+// shared with the workload scenario suite; this header keeps only the
 // bench-specific hosting and table-printing wrappers.
 
 #ifndef HCS_BENCH_BENCH_REACTOR_UTIL_H_

@@ -93,37 +93,6 @@ ScenarioResult RunScenario(const std::string& name, RpcServer* server, int udp_b
   return result;
 }
 
-// The async-client counterpart: the same hosting, but the sweep is ONE
-// client process-thread holding `window` CallAsync requests in flight
-// (bench_reactor_util's DriveClientsAsync) instead of `window` blocking
-// threads with one call each. The engine's UDP channel batches through the
-// mmsg wrappers, so this scenario's syscall delta covers BOTH sides of
-// the wire — client and server — unlike the thread-per-call rows.
-ScenarioResult RunScenarioAsync(const std::string& name, RpcServer* server, int udp_batch,
-                                int window, int requests_per_slot, Baseline baseline,
-                                bool concurrent = true) {
-  std::fprintf(stderr, "  running %-22s batch=%-2d window=%-2d reqs=%d (async client)\n",
-               name.c_str(), udp_batch, window, window * requests_per_slot);
-  ScenarioResult result;
-  result.name = name;
-  result.concurrent = concurrent;
-  result.udp_batch = udp_batch;
-  result.clients = window;
-  result.requests = window * requests_per_slot;
-  result.baseline = std::move(baseline);
-
-  UdpServerHost host(/*reactor_workers=*/concurrent ? window : 1, udp_batch);
-  uint16_t port = ServeOrDie(host, server, concurrent);
-  // hcs:ignore-status(warmup sweep; the measured run below is what counts)
-  (void)DriveClientsAsync(port, window, window * 20);
-
-  result.before = SnapshotUdpIoCounters();
-  result.point = DriveClientsAsync(port, window, result.requests);
-  result.after = SnapshotUdpIoCounters();
-  host.StopAll();
-  return result;
-}
-
 void AppendJsonScenario(std::string* out, const ScenarioResult& r, bool last) {
   char buf[512];
   auto add = [&](const char* fmt, auto... args) {
@@ -219,9 +188,7 @@ int Main(int argc, char** argv) {
   // unchanged since PR 6, but absolute wall-clock throughput swings 30-50%
   // between container instances (this box measures the same echo binary at
   // 0.5-0.7x of the BENCH_6 box, run to run), so the floor is a tripwire
-  // for order-of-magnitude regressions, not a precision claim. The async
-  // leg's 2x floor is immune to that: it compares against the
-  // thread-per-call baseline measured in the SAME run on the SAME box.
+  // for order-of-magnitude regressions, not a precision claim.
   std::vector<ScenarioResult> results;
   results.push_back(RunScenario(
       "udp_echo_floor", &echo, kDefaultUdpBatch, 8, 4000 / scale,
@@ -235,22 +202,10 @@ int Main(int argc, char** argv) {
       {"BENCH_6 e5r_reactor_batched (PR 6)", 54785.9, 0.5}));
   results.push_back(RunScenario("e5r_single_shot", &e5r, 1, 64, 600 / scale, {}));
 
-  // The async client core: 64 blocking threads with one call each vs one
-  // thread keeping 64 CallAsync requests in flight, same echo service. Both
-  // rows host the echo on one serial endpoint (one worker, batched I/O) so
-  // the comparison isolates the CLIENT runtimes: the server is fixed, only
-  // the client stack differs.
-  // Longer rows than the floor scenarios (3000 requests per slot): the 2x
-  // claim is the PR's headline and per-run scheduler noise on a 1-CPU box
-  // is large, so both sides get enough wall-clock to average it out.
-  ScenarioResult tpc = RunScenario("client_thread_per_call_64", &echo, kMaxUdpBatch, 64,
-                                   3000 / scale, {}, /*concurrent=*/false);
-  double tpc_qps = tpc.point.throughput_qps;
-  results.push_back(std::move(tpc));
-  results.push_back(RunScenarioAsync(
-      "client_async_64", &echo, kMaxUdpBatch, 64, 3000 / scale,
-      {"this snapshot's client_thread_per_call_64", tpc_qps, 2.0},
-      /*concurrent=*/false));
+  // 64 blocking client threads with one call each against one serial
+  // endpoint (one worker, batched I/O): the client runtime's row.
+  results.push_back(RunScenario("client_thread_per_call_64", &echo, kMaxUdpBatch, 64,
+                                3000 / scale, {}, /*concurrent=*/false));
 
   std::string json;
   json.append("{\n");

@@ -42,7 +42,7 @@ struct OrderGraph {
   std::unordered_map<uint64_t, std::vector<Edge>> adjacency;
   // Names of the mutexes that appear in at least one edge, registered when
   // that edge is first recorded. A mutex that never orders against another
-  // (the common case: a future's lock, a per-conn lock) costs the graph
+  // (the common case: a per-conn lock, a per-endpoint queue lock) costs the graph
   // nothing, so construction stays lock- and allocation-free.
   std::unordered_map<uint64_t, const char*> names;
 };

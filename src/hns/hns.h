@@ -77,7 +77,7 @@ class Hns {
   // Warms the meta cache for a batch of (context, query class) pairs in
   // three concurrent waves mirroring the mapping sequence: all the context
   // records, then all the (name service, query class) map records, then all
-  // the NSM location records — each wave one CallAsync fan-out through
+  // the NSM location records — each wave one RpcClient::CallMany through
   // MetaStore::PrefetchRecords. A subsequent FindNsm per pair is then all
   // cache hits (host-address resolution aside, which the linked HostAddress
   // NSMs short-circuit). Errors are absorbed; FindNsm reports them.

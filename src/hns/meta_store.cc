@@ -165,7 +165,6 @@ void MetaStore::PrefetchRecords(const std::vector<std::string>& record_names,
   struct Launch {
     std::string name;
     std::shared_ptr<InFlight> flight;
-    RpcFuture future;
   };
   std::vector<Launch> launches;
   for (const std::string& record_name : record_names) {
@@ -180,13 +179,15 @@ void MetaStore::PrefetchRecords(const std::vector<std::string>& record_names,
       auto flight = std::make_shared<InFlight>();
       flight->leader_deadline_ms = effective.has_deadline() ? effective.deadline_ms : 0;
       in_flight_[record_name] = flight;
-      launches.push_back(Launch{record_name, std::move(flight), RpcFuture{}});
+      launches.push_back(Launch{record_name, std::move(flight)});
     }
   }
 
-  // Fan out: every BIND query goes on the wire before any reply is awaited.
+  // One wave: every BIND query goes on the wire before any reply is read.
   World* world = client_->world();
-  for (Launch& launch : launches) {
+  std::vector<Bytes> bodies;
+  bodies.reserve(launches.size());
+  for (const Launch& launch : launches) {
     remote_lookups_.fetch_add(1, std::memory_order_relaxed);
     BindQueryRequest request;
     request.name = launch.name;
@@ -194,14 +195,14 @@ void MetaStore::PrefetchRecords(const std::vector<std::string>& record_names,
     if (world != nullptr) {
       ChargeMarshal(world, MarshalEngine::kStubGenerated, 1);
     }
-    launch.future = client_->CallAsync(MetaServerBinding(/*authority=*/false), kBindProcQuery,
-                                       request.Encode(), effective);
+    bodies.push_back(request.Encode());
   }
-  for (Launch& launch : launches) {
-    Result<Bytes> reply = launch.future.Wait();
-    Result<WireValue> fetched =
-        reply.ok() ? DecodeMetaReply(launch.name, *reply) : Result<WireValue>(reply.status());
-    (void)FinishFlight(launch.name, launch.flight, fetched);
+  std::vector<Result<Bytes>> replies =
+      client_->CallMany(MetaServerBinding(/*authority=*/false), kBindProcQuery, bodies, effective);
+  for (size_t i = 0; i < launches.size(); ++i) {
+    Result<WireValue> fetched = replies[i].ok() ? DecodeMetaReply(launches[i].name, *replies[i])
+                                                : Result<WireValue>(replies[i].status());
+    (void)FinishFlight(launches[i].name, launches[i].flight, fetched);
   }
 }
 

@@ -100,7 +100,8 @@ class MetaStore {
 
   // Fetches every named record that is neither cached nor already being
   // fetched, with all the upstream BIND queries in flight CONCURRENTLY
-  // (CallAsync fan-out) instead of one blocking exchange at a time. Each
+  // (one RpcClient::CallMany wave) instead of one blocking exchange at a
+  // time. Each
   // fetch registers as the singleflight leader for its record, so readers
   // racing the prefetch coalesce onto it exactly as they would onto each
   // other. Results land in the cache (negative results under the negative

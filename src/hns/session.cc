@@ -60,23 +60,21 @@ std::vector<Result<NsmHandle>> HnsSession::ResolveMany(
   }
 
   if (options_.hns_location == HnsLocation::kRemote && unique.size() > 1) {
-    // Remote mode: one FindNSM exchange per unique pair, all in flight
-    // before any is awaited — N distinct pairs cost one round trip's
-    // latency. A transport without an async channel degrades gracefully
-    // (each future completes inline, reproducing the sequential loop).
-    std::vector<RpcFuture> futures;
-    futures.reserve(unique.size());
+    // Remote mode: one FindNSM exchange per unique pair, all in one wave —
+    // N distinct pairs cost one round trip's latency. A transport that
+    // runs no waves makes the exchanges one after another.
+    std::vector<Bytes> bodies;
+    bodies.reserve(unique.size());
     for (const ResolveRequest* request : unique) {
-      Bytes body = EncodeFindNsm(request->name, request->query_class);
-      futures.push_back(
-          rpc_client_.CallAsync(HnsServerBinding(), kHnsProcFindNsm, body, context));
+      bodies.push_back(EncodeFindNsm(request->name, request->query_class));
     }
+    std::vector<Result<Bytes>> replies =
+        rpc_client_.CallMany(HnsServerBinding(), kHnsProcFindNsm, bodies, context);
     for (size_t i = 0; i < unique.size(); ++i) {
-      Result<Bytes> reply = futures[i].Wait();
       std::string key = AsciiToLower(unique[i]->name.context) + '\x1f' +
                         AsciiToLower(unique[i]->query_class);
       memo.at(key) =
-          reply.ok() ? DecodeFindNsmReply(*reply) : Result<NsmHandle>(reply.status());
+          replies[i].ok() ? DecodeFindNsmReply(*replies[i]) : Result<NsmHandle>(replies[i].status());
     }
   } else {
     if (options_.hns_location == HnsLocation::kLinked && unique.size() > 1) {

@@ -80,9 +80,9 @@ class HnsSession {
   // composite lookup (or one remote FindNSM exchange in remote mode) no
   // matter how many individuals it names. Results are positional.
   //
-  // Distinct pairs resolve CONCURRENTLY: in remote mode each unique pair's
-  // FindNSM exchange is one CallAsync, all in flight before any is awaited,
-  // so a batch of N distinct pairs costs one round trip's latency, not N;
+  // Distinct pairs resolve CONCURRENTLY: in remote mode the unique pairs'
+  // FindNSM exchanges are one RpcClient::CallMany wave, all in flight
+  // before any reply is read, so a batch of N distinct pairs costs one round trip's latency, not N;
   // in linked mode the meta-store fetches are prefetched in concurrent
   // waves (Hns::PrefetchFindNsm) before the per-pair resolution runs over
   // the warmed cache.

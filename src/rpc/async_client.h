@@ -1,366 +1,39 @@
-// The async RPC client core: CallAsync returns an RpcFuture, and a
-// dedicated client-only reactor (zero workers — every callback on the loop
-// thread) drives nonblocking endpoints, xid-based reply matching, request
-// pipelining on length-prefixed stream connections, and a bounded
-// per-remote connection pool with idle reaping.
+// Process-wide RPC client counters: relaxed atomics, readable from any
+// thread. RpcClient counts every call it puts on the wire, every re-send,
+// and every datagram a reply matcher dropped.
 //
-// Threading model. All engine state is loop-thread-only: StartCall posts
-// the call onto the loop, and every subsequent transition — send, reply
-// match, attempt timeout, retry backoff, pool wait, connection failure —
-// runs as a loop callback. The only cross-thread surface is the future
-// (mutex + condvar) and the stats counters (relaxed atomics). That is the
-// sresolv/event-loop resolver shape: no locks on the per-call state because
-// exactly one thread ever touches it.
-//
-// The model is machine-checked: the loop-only tags below feed
-// tools/lint_loop.py (rules T1–T4, DESIGN.md §15), and debug builds add
-// HCS_ASSERT_LOOP affinity aborts plus a Wait-on-loop-thread detector.
-//
-// Retry semantics mirror RpcClient's synchronous loop (RetryPolicy): a call
-// whose effective context has a deadline runs budgeted attempts (per-attempt
-// budget doubling from kAttemptBaseMs, capped by the remaining budget and
-// the transport's default timeout) with jittered exponential backoff
-// between; kTimeout/kUnavailable retry, anything else — including an
-// application error carried in a decoded reply — completes the future.
-// Deadline cancellation: the per-attempt timer is capped by the remaining
-// budget, so a call never outlives its deadline by more than the scheduling
-// jitter; expiry between attempts completes the future with kTimeout.
+// The names are historical: hnsbench (perfbench/runner.cc) reads
+// GlobalAsyncClientEngine()->stats() and its fields calls, retries and
+// udp_unmatched. They stay until a change to the benchmark renames them.
 
 #ifndef HCS_SRC_RPC_ASYNC_CLIENT_H_
 #define HCS_SRC_RPC_ASYNC_CLIENT_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
-#include <memory>
-#include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
-
-#include "src/common/bytes.h"
-#include "src/common/result.h"
-#include "src/common/sync.h"
-#include "src/rpc/binding.h"
-#include "src/rpc/context.h"
-#include "src/rpc/control.h"
-#include "src/rpc/mmsg.h"
-#include "src/rpc/reactor.h"
-#include "src/rpc/transport.h"
 
 namespace hcs {
 
-// Per-call telemetry the client runtime reports back to interested callers
-// (benches surface attempts/retries per the retry satellite).
-struct RpcCallInfo {
-  uint32_t attempts = 0;  // transport exchanges performed (>= 1 once sent)
-  uint32_t retries = 0;   // attempts beyond the first
-  uint64_t trace_id = 0;  // trace id the call traveled under (0: untraced)
-};
-
-// Shared completion state behind an RpcFuture. Completion happens exactly
-// once: on the engine loop thread (async path) or inline in CallAsync
-// (sync-fallback path). The optional completion callback fires on whichever
-// thread completes the call — callbacks must not block.
-class RpcFutureState {
- public:
-  using CompletionFn = std::function<void(const Result<Bytes>&, const RpcCallInfo&)>;
-
-#if HCS_LOOP_DEBUG_ENABLED
-  // Debug birth-site stamp: where CallAsync minted this future. The
-  // Wait-on-loop-thread detector reports it so the abort names the caller
-  // that must move its wait off the loop.
-  void set_birth_site(const char* file, int line) {
-    birth_file_ = file;
-    birth_line_ = line;
-  }
-#endif
-
-  void Complete(Result<Bytes> result, const RpcCallInfo& info) {
-    CompletionFn callback;
-    {
-      MutexLock lock(mu_);
-      if (ready_) {
-        return;  // first completion wins
-      }
-      result_ = std::move(result);
-      info_ = info;
-      ready_ = true;
-      callback = std::move(on_complete_);
-      on_complete_ = nullptr;
-    }
-    cv_.NotifyAll();
-    if (callback) {
-      callback(result_snapshot(), info);
-    }
-  }
-
-  HCS_NODISCARD Result<Bytes> Wait() {
-#if HCS_LOOP_DEBUG_ENABLED
-    // Waiting on an event-loop thread can never be satisfied — the loop is
-    // the only thread that delivers completions — so abort with the birth
-    // site instead of deadlocking silently. Deliberately unconditional
-    // (even when already ready) so the misuse is caught deterministically,
-    // not only when the race loses.
-    AbortIfWaitOnLoopThread("RpcFuture::Wait()", birth_file_, birth_line_);
-#endif
-    MutexLock lock(mu_);
-    cv_.Wait(mu_, [&] { return ready_; });
-    return result_;
-  }
-
-  // True when the call completed within `timeout_ms`.
-  bool WaitFor(int64_t timeout_ms) {
-#if HCS_LOOP_DEBUG_ENABLED
-    // A timed wait on the loop thread always burns the full timeout with
-    // the loop stalled — same discipline violation, same abort.
-    AbortIfWaitOnLoopThread("RpcFuture::WaitFor()", birth_file_, birth_line_);
-#endif
-    MutexLock lock(mu_);
-    return cv_.WaitFor(mu_, timeout_ms, [&] { return ready_; });
-  }
-
-  bool ready() const {
-    MutexLock lock(mu_);
-    return ready_;
-  }
-
-  RpcCallInfo info() const {
-    MutexLock lock(mu_);
-    return info_;
-  }
-
-  // Registers the completion callback; fires immediately (on this thread)
-  // when the call already completed. At most one callback per call.
-  void OnComplete(CompletionFn fn) {
-    bool fire_now = false;
-    {
-      MutexLock lock(mu_);
-      if (ready_) {
-        fire_now = true;
-      } else {
-        on_complete_ = std::move(fn);
-      }
-    }
-    if (fire_now) {
-      fn(result_snapshot(), info());
-    }
-  }
-
- private:
-  Result<Bytes> result_snapshot() const {
-    MutexLock lock(mu_);
-    return result_;
-  }
-
-  mutable Mutex mu_{"rpc-future"};
-  CondVar cv_;
-#if HCS_LOOP_DEBUG_ENABLED
-  const char* birth_file_ = nullptr;  // set once before the future escapes
-  int birth_line_ = 0;
-#endif
-  bool ready_ HCS_GUARDED_BY(mu_) = false;
-  Result<Bytes> result_ HCS_GUARDED_BY(mu_) = Result<Bytes>(UnavailableError("call pending"));
-  RpcCallInfo info_ HCS_GUARDED_BY(mu_);
-  CompletionFn on_complete_ HCS_GUARDED_BY(mu_);
-};
-
-// The handle CallAsync returns. Nodiscard: a dropped future is a fired-and-
-// forgotten RPC whose outcome nobody observes (lint_failpaths rule 7); keep
-// the future and Wait()/OnComplete() it, or tag the discard.
-class HCS_NODISCARD RpcFuture {
- public:
-  RpcFuture() = default;
-  explicit RpcFuture(std::shared_ptr<RpcFutureState> state) : state_(std::move(state)) {}
-
-  // Blocks until the call completes and returns its result. Callable more
-  // than once; later calls return the same result.
-  HCS_NODISCARD Result<Bytes> Wait() const {
-    if (state_ == nullptr) {
-      return InternalError("empty RpcFuture");
-    }
-    return state_->Wait();
-  }
-  // True when the call completed within `timeout_ms`.
-  bool WaitFor(int64_t timeout_ms) const { return state_ != nullptr && state_->WaitFor(timeout_ms); }
-  bool ready() const { return state_ != nullptr && state_->ready(); }
-  // Per-call telemetry; final once ready().
-  RpcCallInfo info() const { return state_ != nullptr ? state_->info() : RpcCallInfo{}; }
-  // Completion callback (fires inline if already complete). The callback
-  // runs on the engine loop thread — it must not block or call Wait().
-  void OnComplete(RpcFutureState::CompletionFn fn) const {
-    if (state_ != nullptr) {
-      state_->OnComplete(std::move(fn));
-    }
-  }
-
- private:
-  std::shared_ptr<RpcFutureState> state_;
-};
-
-// One call as handed to the engine: the effective (resolved) context plus
-// the channel spec the transport advertised.
-struct AsyncCallSpec {
-  HrpcBinding binding;
-  uint32_t procedure = 0;
-  Bytes args;
-  RequestContext context;
-  AsyncChannelSpec channel;
-};
-
-struct AsyncEngineOptions {
-  // Stream pool bounds, per remote port: at most `max_conns_per_remote`
-  // connections, each pipelining up to `max_inflight_per_conn` requests.
-  // Beyond that, attempts queue (bounded by their attempt timer).
-  int max_conns_per_remote = 4;
-  int max_inflight_per_conn = 16;
-  // A connection idle (no in-flight calls, nothing buffered) for this long
-  // is reaped; the reaper sweeps every `reap_interval_ms`.
-  int64_t idle_reap_ms = 2000;
-  int64_t reap_interval_ms = 500;
-};
-
-// Engine counters (relaxed; readable from any thread).
 struct AsyncEngineStats {
-  uint64_t calls = 0;             // engine-path calls started
-  uint64_t completed = 0;
-  uint64_t retries = 0;
-  uint64_t udp_unmatched = 0;     // datagrams matching no pending xid (dups, late replies)
-  uint64_t stream_unmatched = 0;  // frames matching no in-flight xid (abandoned attempts)
-  uint64_t stream_connects = 0;
-  uint64_t stream_reaped = 0;
-  uint64_t pool_waits = 0;        // attempts that queued for a pooled connection
-  uint64_t udp_send_drops = 0;    // staged datagrams the kernel refused (retry re-sends)
+  uint64_t calls = 0;          // calls started on the wire (CallBlocking, CallMany)
+  uint64_t retries = 0;        // re-sends of an unanswered call
+  uint64_t udp_unmatched = 0;  // datagrams a reply matcher dropped
 };
 
-// The reactor-driven engine behind RpcClient::CallAsync. One instance
-// serves any number of clients/remotes; a process normally uses
-// GlobalAsyncClientEngine(). Destruction fails every outstanding future
-// with kUnavailable, then stops the loop.
-class AsyncClientEngine {
- public:
-  explicit AsyncClientEngine(AsyncEngineOptions options = {});
-  ~AsyncClientEngine();
+struct ClientCallCounters {
+  std::atomic<uint64_t> calls{0};
+  std::atomic<uint64_t> retries{0};
+  std::atomic<uint64_t> udp_unmatched{0};
 
-  AsyncClientEngine(const AsyncClientEngine&) = delete;
-  AsyncClientEngine& operator=(const AsyncClientEngine&) = delete;
-
-  // Takes ownership of the call; `state` completes exactly once. Safe from
-  // any thread (including engine callbacks).
-  void StartCall(AsyncCallSpec spec, std::shared_ptr<RpcFutureState> state);
-
-  AsyncEngineStats stats() const;
-  // Posts an immediate idle-reap pass (tests; normally the periodic timer).
-  void ReapIdleNow();
-
- private:
-  struct PendingCall;
-  struct StreamConn;
-  struct Pool;
-
-  // --- Loop-thread-only machinery (every decl carries hcs:loop-only; the
-  // tag feeds tools/lint_loop.py's producer DB and rule T1 rejects calls
-  // from off-loop bodies) ---------------------------------------------------
-  void DrainIncoming();                                    // hcs:loop-only
-  void StartOnLoop(std::shared_ptr<PendingCall> call);     // hcs:loop-only
-  void StartAttempt(PendingCall* call);                    // hcs:loop-only
-  void OnAttemptTimeout(uint64_t call_id);                 // hcs:loop-only
-  void HandleAttemptError(PendingCall* call, const Status& error);  // hcs:loop-only
-  void CompleteCall(PendingCall* call, Result<Bytes> result);       // hcs:loop-only
-  void CompleteFromReply(PendingCall* call, RpcReplyMsg reply);     // hcs:loop-only
-  void UnregisterResidences(PendingCall* call);            // hcs:loop-only
-  PendingCall* FindCall(uint64_t call_id);                 // hcs:loop-only
-  void EncodeAttempt(PendingCall* call);                   // hcs:loop-only
-  uint32_t MaskedXid(const PendingCall* call) const;       // hcs:loop-only
-
-  // UDP channel. Sends are staged per reactor iteration and flushed with
-  // one sendmmsg; receives drain through a recvmmsg batch — the client
-  // mirrors the serving runtime's batched-syscall hot path (DESIGN.md §12).
-  HCS_NODISCARD Status EnsureUdpChannel();                 // hcs:loop-only
-  void SendUdpAttempt(PendingCall* call);                  // hcs:loop-only
-  void FlushUdpOutbox();                                   // hcs:loop-only
-  void OnUdpReadable();                                    // hcs:loop-only
-  void DispatchUdpDatagram(uint16_t port, const Bytes& datagram);  // hcs:loop-only
-
-  // Stream pool.
-  void StartStreamAttempt(PendingCall* call);              // hcs:loop-only
-  void TryAssignStream(PendingCall* call);                 // hcs:loop-only
-  HCS_NODISCARD Result<StreamConn*> DialStream(uint16_t port);     // hcs:loop-only
-  void AssignToConn(PendingCall* call, StreamConn* conn);  // hcs:loop-only
-  void OnStreamEvent(StreamConn* conn, uint32_t events);   // hcs:loop-only
-  bool FlushStream(StreamConn* conn);  // hcs:loop-only; false: conn failed and was removed
-  bool ReadStream(StreamConn* conn);   // hcs:loop-only; false: conn failed and was removed
-  void DispatchStreamFrame(StreamConn* conn, const Bytes& frame);  // hcs:loop-only
-  void FailStreamConn(StreamConn* conn, const Status& error);      // hcs:loop-only
-  void RemoveStreamConn(StreamConn* conn);                 // hcs:loop-only
-  // Waiter drains run only as posted tasks, never inline from a completion:
-  // an inline drain can assign a waiter to — and then tear down — the very
-  // connection the caller is still reading (use-after-free).
-  void ScheduleDrainWaiters(uint16_t port);                // hcs:loop-only
-  void RunScheduledDrains();                               // hcs:loop-only
-  void DrainWaiters(uint16_t port);                        // hcs:loop-only
-  void ScheduleReap();                                     // hcs:loop-only
-  void ReapIdle();                                         // hcs:loop-only
-
-  AsyncEngineOptions options_;
-  Reactor reactor_;
-
-  // StartCall staging: new calls land here from any thread; one posted
-  // drain task moves a whole burst onto the loop.
-  Mutex incoming_mu_{"async-engine-incoming"};
-  std::vector<std::shared_ptr<PendingCall>> incoming_ HCS_GUARDED_BY(incoming_mu_);
-  bool incoming_drain_scheduled_ HCS_GUARDED_BY(incoming_mu_) = false;
-
-  // Everything below is loop-thread-only (see the threading model above).
-  bool stopping_ = false;       // hcs:loop-only
-  bool reap_scheduled_ = false; // hcs:loop-only
-  std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> calls_;  // hcs:loop-only
-  int udp_fd_ = -1;             // hcs:loop-only
-  // port → masked xid → pending call awaiting a datagram from that port.
-  std::unordered_map<uint16_t, std::unordered_map<uint32_t, PendingCall*>> udp_pending_;  // hcs:loop-only
-  std::map<uint16_t, Pool> pools_;                          // hcs:loop-only
-  std::map<StreamConn*, std::unique_ptr<StreamConn>> stream_conns_;  // hcs:loop-only
-  std::vector<uint8_t> read_buffer_;  // hcs:loop-only; stream recv() scratch
-  // Batched UDP I/O: datagrams staged here drain with one sendmmsg per
-  // reactor iteration; the receive batch lands a recvmmsg burst per call.
-  std::unique_ptr<UdpRecvBatch> udp_rx_;                    // hcs:loop-only
-  std::vector<UdpReply> udp_outbox_;                        // hcs:loop-only
-  bool udp_flush_scheduled_ = false;                        // hcs:loop-only
-  // Ports with pool waiters to drain; one posted task sweeps them all.
-  std::vector<uint16_t> drain_ports_;                       // hcs:loop-only
-  bool drain_scheduled_ = false;                            // hcs:loop-only
-  // Flushed datagram buffers come back here; EncodeAttempt reuses them so
-  // the steady-state hot path allocates nothing per call for wire bytes.
-  std::vector<Bytes> wire_pool_;                            // hcs:loop-only
-
-#if HCS_LOOP_DEBUG_ENABLED
-  // Reentrancy depth guards: waiter drains and conn teardown must never
-  // nest — the PR 8 review bugs were exactly inline-drain and
-  // complete-under-iteration reentrancy (DESIGN.md §15). Checked by
-  // ReentryGuard in async_client.cc; aborts on depth > 1.
-  int drain_depth_ = 0;     // hcs:loop-only
-  int teardown_depth_ = 0;  // hcs:loop-only
-#endif
-
-  std::atomic<uint64_t> next_call_id_{1};
-  std::atomic<uint32_t> next_xid_{1};
-
-  std::atomic<uint64_t> stat_calls_{0};
-  std::atomic<uint64_t> stat_completed_{0};
-  std::atomic<uint64_t> stat_retries_{0};
-  std::atomic<uint64_t> stat_udp_unmatched_{0};
-  std::atomic<uint64_t> stat_stream_unmatched_{0};
-  std::atomic<uint64_t> stat_stream_connects_{0};
-  std::atomic<uint64_t> stat_stream_reaped_{0};
-  std::atomic<uint64_t> stat_pool_waits_{0};
-  std::atomic<uint64_t> stat_udp_send_drops_{0};
+  AsyncEngineStats stats() const {
+    return {calls.load(std::memory_order_relaxed), retries.load(std::memory_order_relaxed),
+            udp_unmatched.load(std::memory_order_relaxed)};
+  }
 };
 
-// The process-wide engine every RpcClient uses unless a test installs its
-// own (RpcClient::set_async_engine). Lazily constructed on first use.
-AsyncClientEngine* GlobalAsyncClientEngine();
+inline ClientCallCounters g_client_call_counters;
+
+inline ClientCallCounters* GlobalAsyncClientEngine() { return &g_client_call_counters; }
 
 }  // namespace hcs
 

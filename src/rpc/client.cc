@@ -5,9 +5,11 @@
 #include <deque>
 #include <optional>
 #include <thread>
+#include <unordered_map>
 
 #include "src/common/rand.h"
 #include "src/common/strings.h"
+#include "src/rpc/async_client.h"
 
 namespace hcs {
 
@@ -71,12 +73,158 @@ RequestContext EffectiveContext(const RequestContext& context) {
   return effective;
 }
 
+// Counts `sends` messages of one attempt: a first attempt puts calls on
+// the wire, a later one re-sends them.
+void CountSends(uint32_t attempt, uint64_t sends) {
+  (attempt == 0 ? g_client_call_counters.calls : g_client_call_counters.retries)
+      .fetch_add(sends, std::memory_order_relaxed);
+}
+
 // The error a call whose budget is already spent completes with.
 Status ShedBeforeSend(const HrpcBinding& binding, const RequestContext& effective) {
   return TimeoutError(StrFormat("call to %s:%u shed before send: budget exhausted (trace %016llx)",
                                 binding.host.c_str(), binding.port,
                                 static_cast<unsigned long long>(effective.trace_id)));
 }
+
+// The caller's-thread wave behind CallMany: every call's request, encoded
+// under its own xid, goes out each round; a reply is matched to its call by
+// xid, and the calls still unanswered when a round's wait runs out are
+// re-encoded (the attempt counter re-marshalled, the xid kept) and re-sent
+// after RetryPolicy's jittered backoff, until the shared deadline. Without
+// a deadline each call gets one attempt, as in Call.
+class Wave final : public WaveCalls {
+ public:
+  Wave(const ControlProtocol& control, const HrpcBinding& binding, uint32_t procedure,
+       const std::vector<Bytes>& bodies, const RequestContext& effective, bool budgeted,
+       std::atomic<uint32_t>& next_xid, World* world)
+      : control_(control),
+        binding_(binding),
+        procedure_(procedure),
+        bodies_(bodies),
+        effective_(effective),
+        budgeted_(budgeted),
+        world_(world),
+        slots_(bodies.size()),
+        results_(bodies.size(), Result<Bytes>(UnavailableError("call pending"))),
+        outstanding_(bodies.size()) {
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      slots_[i].xid = next_xid.fetch_add(1, std::memory_order_relaxed);
+      // Courier transaction ids are 16-bit; match within the protocol's width.
+      uint32_t want = binding.control == ControlKind::kCourier ? (slots_[i].xid & 0xffff)
+                                                               : slots_[i].xid;
+      by_xid_.emplace(want, i);
+    }
+  }
+
+  bool NextRound(std::vector<const Bytes*>* sends, int64_t* budget_ms) override {
+    sends->clear();
+    if (outstanding_ == 0) {
+      return false;
+    }
+    if (round_ > 0 && !budgeted_) {
+      FailPending(TimeoutError(StrFormat("no response from %s:%u", binding_.host.c_str(),
+                                         binding_.port)));
+      return false;
+    }
+    int64_t remaining = effective_.remaining_ms();
+    if (round_ > 0 && remaining > 0) {
+      int64_t sleep_ms = RetryPolicy::JitteredBackoffMs(
+          effective_.trace_id, effective_.attempt + round_ - 1, backoff_ms_, remaining);
+      if (sleep_ms > 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
+      }
+      backoff_ms_ = RetryPolicy::NextBackoffMs(backoff_ms_);
+      remaining = effective_.remaining_ms();
+    }
+    if (budgeted_ && remaining <= 0) {
+      FailPending(TimeoutError(StrFormat("call to %s:%u: budget exhausted after %u attempts",
+                                         binding_.host.c_str(), binding_.port, round_)));
+      return false;
+    }
+    RpcCallView call;
+    call.program = binding_.program;
+    call.version = binding_.version;
+    call.procedure = procedure_;
+    call.context = effective_;
+    call.context.attempt = effective_.attempt + round_;  // re-marshalled per round
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].answered) {
+        continue;
+      }
+      call.xid = slots_[i].xid;
+      call.args = bodies_[i];
+      control_.EncodeCallTo(call, &slots_[i].message);
+      if (world_ != nullptr) {
+        world_->ChargeMs(ControlCostMs(world_->costs(), binding_.control));
+      }
+      sends->push_back(&slots_[i].message);
+    }
+    CountSends(round_, sends->size());
+    *budget_ms = budgeted_ ? RetryPolicy::AttemptBudgetMs(round_, remaining) : 0;
+    ++round_;
+    return true;
+  }
+
+  bool Accept(const uint8_t* data, size_t size) override {
+    std::optional<uint32_t> xid = control_.PeekReplyXid(data, size);
+    if (!xid.has_value()) {
+      return false;  // not a reply header: no call to charge it to
+    }
+    auto it = by_xid_.find(*xid);
+    if (it == by_xid_.end() || slots_[it->second].answered) {
+      return false;
+    }
+    const size_t i = it->second;
+    slots_[i].answered = true;
+    --outstanding_;
+    Result<RpcReplyView> reply = control_.DecodeReplyView(data, size);
+    if (!reply.ok()) {
+      results_[i] = reply.status();
+    } else if (reply->app_status != StatusCode::kOk) {
+      results_[i] = Status(reply->app_status, std::move(reply->error_message));
+    } else {
+      results_[i] = reply->results.ToBytes();
+    }
+    return true;
+  }
+
+  bool pending() const override { return outstanding_ > 0; }
+
+  // Ends every unanswered call with `status`.
+  void FailPending(const Status& status) {
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      if (!slots_[i].answered) {
+        slots_[i].answered = true;
+        results_[i] = status;
+      }
+    }
+    outstanding_ = 0;
+  }
+
+  std::vector<Result<Bytes>> TakeResults() { return std::move(results_); }
+
+ private:
+  struct Slot {
+    uint32_t xid = 0;
+    bool answered = false;
+    Bytes message;  // this round's encoding
+  };
+
+  const ControlProtocol& control_;
+  const HrpcBinding& binding_;
+  const uint32_t procedure_;
+  const std::vector<Bytes>& bodies_;
+  const RequestContext& effective_;
+  const bool budgeted_;
+  World* world_;
+  std::vector<Slot> slots_;
+  std::vector<Result<Bytes>> results_;
+  std::unordered_map<uint32_t, size_t> by_xid_;  // reply xid -> call
+  size_t outstanding_;
+  uint32_t round_ = 0;
+  int64_t backoff_ms_ = RetryPolicy::kBackoffBaseMs;
+};
 
 }  // namespace
 
@@ -119,23 +267,7 @@ uint32_t RetryPolicy::MaxAttempts(int64_t budget_ms) {
 }
 
 Result<Bytes> RpcClient::Call(const HrpcBinding& binding, uint32_t procedure, BytesView args,
-                              const RequestContext& context, RpcCallInfo* info_out,
-                              std::source_location birth) {
-  if (transport_->async_channel().kind == AsyncChannelKind::kTcpStream) {
-    RpcFuture future = CallAsync(binding, procedure, args, context, birth);
-    Result<Bytes> result = future.Wait();
-    if (info_out != nullptr) {
-      *info_out = future.info();
-    }
-    return result;
-  }
-  // Datagram and channel-less transports: the caller is about to block
-  // anyway, so the exchange runs right here, on its own thread.
-#if HCS_LOOP_DEBUG_ENABLED
-  AbortIfWaitOnLoopThread("RpcClient::Call()", birth.file_name(), static_cast<int>(birth.line()));
-#else
-  (void)birth;
-#endif
+                              const RequestContext& context, RpcCallInfo* info_out) {
   const RequestContext effective = EffectiveContext(context);
   if (effective.expired()) {
     // Client-side shed: a spent budget never goes on the wire.
@@ -149,48 +281,29 @@ Result<Bytes> RpcClient::Call(const HrpcBinding& binding, uint32_t procedure, By
                       info_out);
 }
 
-RpcFuture RpcClient::CallAsync(const HrpcBinding& binding, uint32_t procedure, BytesView args,
-                               const RequestContext& context, std::source_location birth) {
-  const ControlProtocol& control = GetControlProtocol(binding.control);
+std::vector<Result<Bytes>> RpcClient::CallMany(const HrpcBinding& binding, uint32_t procedure,
+                                               const std::vector<Bytes>& bodies,
+                                               const RequestContext& context) {
+  std::vector<Result<Bytes>> results;
+  if (!transport_->SupportsWaves()) {
+    results.reserve(bodies.size());
+    for (const Bytes& body : bodies) {
+      results.push_back(Call(binding, procedure, body, context));
+    }
+    return results;
+  }
   const RequestContext effective = EffectiveContext(context);
-
-  auto state = std::make_shared<RpcFutureState>();
-#if HCS_LOOP_DEBUG_ENABLED
-  state->set_birth_site(birth.file_name(), static_cast<int>(birth.line()));
-#else
-  (void)birth;
-#endif
-  RpcCallInfo info;
-  info.trace_id = effective.trace_id;
-
-  // Client-side shed: a spent budget never goes on the wire.
   if (effective.expired()) {
-    state->Complete(ShedBeforeSend(binding, effective), info);
-    return RpcFuture(state);
+    results.assign(bodies.size(), Result<Bytes>(ShedBeforeSend(binding, effective)));
+    return results;
   }
-
-  AsyncChannelSpec channel = transport_->async_channel();
-  if (channel.kind == AsyncChannelKind::kNone) {
-    // No nonblocking channel (sim, loopback, fault wrappers): run the
-    // blocking path inline and complete the future with its result — the
-    // seed's exact semantics, wire bytes, and virtual-clock charges.
-    state->Complete(CallBlocking(control, binding, procedure, args, effective, &info), info);
-    return RpcFuture(state);
+  Wave wave(GetControlProtocol(binding.control), binding, procedure, bodies, effective,
+            effective.has_deadline() && transport_->SupportsBudget(), next_xid_, world_);
+  Status status = transport_->RoundTripWave(binding.host, binding.port, wave);
+  if (!status.ok()) {
+    wave.FailPending(status);
   }
-
-  if (world_ != nullptr) {
-    world_->ChargeMs(ControlCostMs(world_->costs(), binding.control));
-  }
-  AsyncCallSpec spec;
-  spec.binding = binding;
-  spec.procedure = procedure;
-  spec.args = args.ToBytes();  // the engine's attempts outlive the caller's buffer
-  spec.context = effective;
-  spec.channel = channel;
-  AsyncClientEngine* engine =
-      async_engine_ != nullptr ? async_engine_ : GlobalAsyncClientEngine();
-  engine->StartCall(std::move(spec), state);
-  return RpcFuture(state);
+  return wave.TakeResults();
 }
 
 Result<Bytes> RpcClient::CallBlocking(const ControlProtocol& control, const HrpcBinding& binding,
@@ -256,11 +369,13 @@ Result<Bytes> RpcClient::CallBlocking(const ControlProtocol& control, const Hrpc
         return TimeoutError(StrFormat("call to %s:%u: budget exhausted after %u attempts",
                                       binding.host.c_str(), binding.port, info.attempts));
       }
+      CountSends(attempt, 1);
       ++info.attempts;
       int64_t attempt_budget = RetryPolicy::AttemptBudgetMs(attempt, remaining);
       response = transport_->RoundTripMatching(local_host_, binding.host, binding.port, message,
                                                attempt_budget, matcher, &reply_storage);
     } else {
+      CountSends(attempt, 1);
       ++info.attempts;
       response = transport_->RoundTripMatching(local_host_, binding.host, binding.port, message,
                                                /*budget_ms=*/0, matcher, &reply_storage);

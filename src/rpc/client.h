@@ -9,12 +9,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <source_location>
 #include <string>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/result.h"
-#include "src/rpc/async_client.h"  // RpcCallInfo, RpcFuture, AsyncClientEngine
 #include "src/rpc/binding.h"
 #include "src/rpc/context.h"
 #include "src/rpc/control.h"
@@ -22,6 +21,14 @@
 #include "src/sim/world.h"
 
 namespace hcs {
+
+// Per-call telemetry Call reports back to interested callers (benches
+// surface attempts and retries).
+struct RpcCallInfo {
+  uint32_t attempts = 0;  // transport exchanges performed (>= 1 once sent)
+  uint32_t retries = 0;   // attempts beyond the first
+  uint64_t trace_id = 0;  // trace id the call traveled under (0: untraced)
+};
 
 // The budgeted-call retry policy: attempt budgets and the exponential
 // backoff/jitter schedule RpcClient::Call follows. Exposed as pure
@@ -66,16 +73,11 @@ class RpcClient {
   // bytes. A Status from the remote handler is reconstructed and returned
   // as this call's status.
   //
-  // Threading: on a datagram (or channel-less) transport the exchange runs
-  // on the calling thread — one blocking send/receive per attempt over
-  // UdpTransport's thread-local socket, with no future and no engine hop,
-  // because a caller about to block gains nothing from a loop thread in
-  // between (DESIGN.md §14). Only a reply carrying this call's xid ends an
-  // attempt; a stray (a duplicate or a late reply to an earlier call) is
-  // dropped. On a stream transport Call is
-  // CallAsync(...).Wait(): the engine owns the pooled connections. Either
-  // way, debug builds abort a Call made on a reactor loop thread, naming
-  // `birth` (the caller).
+  // Threading: the exchange runs on the calling thread, on every
+  // transport: one blocking send/receive per attempt (over UdpTransport's
+  // thread-local socket, or a pooled TcpStreamTransport connection).
+  // Only a reply carrying this call's xid ends an attempt; a stray (a
+  // duplicate or a late reply to an earlier call) is dropped.
   //
   // The effective request context is `context` when non-empty, else the
   // ambient CurrentRequestContext() (installed by the serving runtime —
@@ -88,38 +90,29 @@ class RpcClient {
   // behavior; sim runs stay deterministic).
   HCS_NODISCARD Result<Bytes> Call(const HrpcBinding& binding, uint32_t procedure, BytesView args,
                      const RequestContext& context = RequestContext{},
-                     RpcCallInfo* info_out = nullptr,
-                     std::source_location birth = std::source_location::current());
+                     RpcCallInfo* info_out = nullptr);
 
-  // Starts `procedure` without blocking and returns a future for its
-  // result, with Call's results and retry semantics. When the transport
-  // advertises an async channel (real UDP / TCP), the call runs on the
-  // engine's reactor loop: N CallAsync calls are N requests in flight, with
-  // the same retry/backoff schedule, deadline budget, and ambient-context
-  // semantics as Call. A channel-less transport (sim, loopback, fault
-  // wrappers) completes the future inline via the blocking path, so
-  // existing behavior — virtual-clock charging, fault injection, wire
-  // bytes — is preserved exactly. The defaulted source_location captures
-  // the caller as the future's birth site: debug builds report it when the
-  // future is Wait()ed on an event-loop thread (DESIGN.md §15).
-  HCS_NODISCARD RpcFuture CallAsync(
-      const HrpcBinding& binding, uint32_t procedure, BytesView args,
-      const RequestContext& context = RequestContext{},
-      std::source_location birth = std::source_location::current());
+  // Calls `procedure` once per element of `bodies`, all to `binding`, and
+  // returns one result per body, in order, with Call's results, retry
+  // rules and context semantics. On a transport that runs waves
+  // (UdpTransport) the calls share the caller's thread and socket: every
+  // request goes out before any reply is read, replies are matched to
+  // their calls by xid, and the unanswered ones are re-sent under the same
+  // xid each round — N calls cost about one round trip, not N. Elsewhere
+  // (sim, loopback, fault wrappers) the calls run one after another
+  // through Call, with its virtual-clock charges and fault decisions.
+  HCS_NODISCARD std::vector<Result<Bytes>> CallMany(const HrpcBinding& binding,
+                                                    uint32_t procedure,
+                                                    const std::vector<Bytes>& bodies,
+                                                    const RequestContext& context = RequestContext{});
 
   const std::string& local_host() const { return local_host_; }
   World* world() const { return world_; }
   Transport* transport() const { return transport_; }
 
-  // Test hook: route async calls through `engine` instead of the process
-  // global (e.g. one with tiny pool bounds). Null restores the default.
-  void set_async_engine(AsyncClientEngine* engine) { async_engine_ = engine; }
-
  private:
-  // The synchronous call path (one blocking exchange per attempt);
-  // `effective` is the already-resolved context. Call runs it for datagram
-  // and channel-less transports; CallAsync completes channel-less futures
-  // with it inline.
+  // One call's blocking exchanges; `effective` is the already-resolved
+  // context.
   HCS_NODISCARD Result<Bytes> CallBlocking(const ControlProtocol& control,
                                            const HrpcBinding& binding, uint32_t procedure,
                                            BytesView args, const RequestContext& effective,
@@ -128,7 +121,6 @@ class RpcClient {
   World* world_;
   std::string local_host_;
   Transport* transport_;
-  AsyncClientEngine* async_engine_ = nullptr;
   // Atomic: one RpcClient serves concurrent callers on the real-transport
   // path (the Hns's readers and registration writers share it).
   std::atomic<uint32_t> next_xid_{1};

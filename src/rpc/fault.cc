@@ -147,8 +147,7 @@ const FaultSpec* FaultInjector::ActiveSpec(const std::string& host_key,
 
 FaultDecision FaultInjector::Decide(const std::string& host, uint16_t port) {
   std::string host_key = AsciiToLower(host);
-  std::string endpoint_key = EndpointKeyOf(host_key, port);
-  return DecideOn(host_key, endpoint_key, endpoint_key);
+  return DecideOn(host_key, EndpointKeyOf(host_key, port), /*stream=*/"");
 }
 
 FaultDecision FaultInjector::Decide(uint16_t local_port, uint32_t endpoint_ordinal) {
@@ -159,8 +158,13 @@ FaultDecision FaultInjector::Decide(uint16_t local_port, uint32_t endpoint_ordin
 
 FaultDecision FaultInjector::DecideOn(const std::string& host_key,
                                       const std::string& endpoint_key,
-                                      const std::string& stream) {
+                                      std::string stream) {
   MutexLock lock(mu_);
+  if (stream.empty()) {
+    std::map<std::string, uint32_t>& ports = outbound_ordinals_[host_key];
+    auto ordinal = ports.try_emplace(endpoint_key, static_cast<uint32_t>(ports.size()));
+    stream = host_key + ">" + std::to_string(ordinal.first->second);
+  }
   FaultDecision decision;
   decision.sequence = sequence_[endpoint_key]++;
   counters_.decisions.fetch_add(1, std::memory_order_relaxed);

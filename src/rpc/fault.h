@@ -11,7 +11,9 @@
 //     number), so a failing chaos run prints its seed and replays the same
 //     per-endpoint decision sequence regardless of thread interleaving. The
 //     identity of a serve endpoint is its registration ordinal on its host,
-//     not its port, so servers on ephemeral ports replay too;
+//     and that of a client's destination its host and the order in which
+//     the injector first saw that port, never the port itself, so servers
+//     on ephemeral ports replay too;
 //   - faults are described per endpoint ("host:port", "host", or "*") by a
 //     FaultPlan: a phased schedule of FaultSpecs, e.g. "healthy for 500 ms,
 //     blackhole for 2 s, then healed forever";
@@ -156,8 +158,13 @@ class FaultInjector {
   void ResetPhaseClocks();
 
   // Draws the decision for one message toward (host, port). Consumes a
-  // fixed number of PRNG values regardless of the active spec. The stream
-  // is named "host:port": its seed, its trace label and its sequence.
+  // fixed number of PRNG values regardless of the active spec. Plans match
+  // on "host:port" (then "host", then "*") and the sequence counts per
+  // "host:port", but the stream is seeded and traced as "host>N", where N
+  // is the order in which this injector first saw that port of the host
+  // (0-based): a server's ephemeral port differs run to run, the order of
+  // first use does not, so a seed replays the same outbound decisions on
+  // every run.
   FaultDecision Decide(const std::string& host, uint16_t port);
   // The same for a message arriving at serve port `local_port`, the
   // `endpoint_ordinal`-th endpoint its host registered (0-based). Plans
@@ -199,9 +206,9 @@ class FaultInjector {
   int64_t Now() const;
   // Decide's body: plans match on (host_key, endpoint_key), the sequence
   // counts per endpoint_key, and `stream` seeds the draws and labels the
-  // trace.
+  // trace; an empty `stream` names an outbound destination ("host>N").
   FaultDecision DecideOn(const std::string& host_key, const std::string& endpoint_key,
-                         const std::string& stream);
+                         std::string stream);
   // The spec currently in force for `endpoint_key` ("host:port"), honoring
   // plan precedence and phase schedules. Null when no plan matches.
   const FaultSpec* ActiveSpec(const std::string& host_key, const std::string& endpoint_key) const
@@ -228,6 +235,9 @@ class FaultInjector {
   mutable Mutex mu_{"fault-injector"};
   std::map<std::string, PlanState> plans_ HCS_GUARDED_BY(mu_);
   std::map<std::string, uint64_t> sequence_ HCS_GUARDED_BY(mu_);
+  // host -> "host:port" -> order of first use (Decide's stream names).
+  std::map<std::string, std::map<std::string, uint32_t>> outbound_ordinals_
+      HCS_GUARDED_BY(mu_);
   std::function<int64_t()> now_ms_ HCS_GUARDED_BY(mu_);
   Counters counters_;
   bool trace_enabled_ HCS_GUARDED_BY(mu_) = false;

@@ -1,5 +1,5 @@
-// Batched UDP I/O: recvmmsg/sendmmsg wrappers shared by the reactor's UDP
-// endpoints and the async client's UDP channel. One syscall
+// Batched UDP I/O: recvmmsg/sendmmsg wrappers used by the reactor's UDP
+// endpoints. One syscall
 // moves up to a batch of datagrams in either direction; each received frame
 // is a view into the batch's arena (src/common/arena.h), so decode and
 // dispatch run without a per-datagram copy.

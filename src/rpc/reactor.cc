@@ -9,8 +9,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/common/logging.h"
@@ -24,11 +22,6 @@ namespace hcs {
 namespace {
 
 constexpr size_t kMaxDatagram = 64 * 1024;
-
-// Which reactor's event loop is the current thread running, if any. Set for
-// the whole lifetime of LoopMain and cleared on every exit path; backs both
-// CurrentLoopReactor() and the Wait-on-loop-thread detector.
-thread_local const Reactor* t_loop_reactor = nullptr;
 
 // Big-endian 4-byte frame length prefix (network order, like the rest of
 // the wire formats in this tree).
@@ -88,21 +81,6 @@ struct Reactor::WorkerScratch {
   std::unique_ptr<UdpRecvBatch> serial;      // udp_batch_ slots
   std::unique_ptr<UdpRecvBatch> concurrent;  // one slot: one datagram per turn
   std::vector<UdpReply> replies;
-};
-
-// One registered client fd (async RPC client channel). Loop-thread-only:
-// the handler runs on the loop thread, and registration/removal happen
-// there too, so no lock is needed.
-struct Reactor::ClientFd {
-  ~ClientFd() {
-    if (fd >= 0) {
-      close(fd);
-    }
-  }
-
-  int fd = -1;
-  Handle handle{Handle::Kind::kClient, nullptr};
-  std::function<void(uint32_t)> handler;
 };
 
 // One accepted stream connection. The loop thread owns `inbuf` and frame
@@ -189,9 +167,7 @@ Status Reactor::Start() {
   udp_batch_ = ResolveUdpBatchSize(options_.udp_batch);
   udp_slot_bytes_ = options_.udp_slot_bytes != 0 ? options_.udp_slot_bytes : kMaxDatagram;
   int workers = options_.workers;
-  if (workers < 0) {
-    workers = 0;  // client-only reactor: everything runs on the loop thread
-  } else if (workers == 0) {
+  if (workers <= 0) {
     unsigned hw = std::thread::hardware_concurrency();
     workers = static_cast<int>(std::min(8u, std::max(2u, hw)));
   }
@@ -260,17 +236,6 @@ void Reactor::Stop() {
     conn->closed = true;
   }
   conns_.clear();
-  // Client channels, timers, and unrun posted work: the loop is down, so
-  // no handler will fire again. Owners (the async client engine) fail
-  // their outstanding futures before stopping the reactor.
-  client_fds_.clear();  // ~ClientFd closes each fd
-  client_by_fd_.clear();
-  timers_.clear();
-  timer_heap_.clear();
-  {
-    MutexLock lock(posted_mu_);
-    posted_.clear();
-  }
   {
     MutexLock lock(state_mu_);
     for (auto& endpoint : endpoints_) {
@@ -294,10 +259,6 @@ Status Reactor::AddUdpEndpoint(int fd, SimService* service, ReactorEndpointOptio
   if (!running_) {
     close(fd);
     return UnavailableError("reactor not running");
-  }
-  if (workers_.empty()) {
-    close(fd);
-    return UnavailableError("reactor has no workers to serve a UDP endpoint");
   }
   HCS_RETURN_IF_ERROR(SetNonBlocking(fd));
   // Arrival stamps: a datagram may wait in the socket while every worker
@@ -351,26 +312,10 @@ Status Reactor::AddStreamListener(int fd, SimService* service, ReactorEndpointOp
 }
 
 void Reactor::LoopMain() {
-  // Mark this thread as the loop for the whole body, and un-mark it on every
-  // exit path (there are early returns below). Clearing loop_tid_ makes
-  // "loop not running" observable to AssertLoopAffinity, so the post-join
-  // cleanup in Stop() passes the affinity checks legitimately.
-  struct LoopMark {
-    Reactor* self;
-    explicit LoopMark(Reactor* r) : self(r) {
-      self->loop_tid_.store(std::this_thread::get_id(), std::memory_order_release);
-      t_loop_reactor = self;
-    }
-    ~LoopMark() {
-      t_loop_reactor = nullptr;
-      self->loop_tid_.store(std::thread::id{}, std::memory_order_release);
-    }
-  } mark(this);
   std::vector<epoll_event> events(64);
   std::vector<uint8_t> buffer(kMaxDatagram);
   while (!stopping_.load(std::memory_order_acquire)) {
-    int n = epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
-                       NextTimerTimeoutMs());
+    int n = epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()), -1);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -385,11 +330,7 @@ void Reactor::LoopMain() {
       switch (handle->kind) {
         case Handle::Kind::kWake: {
           uint64_t value;
-          (void)!read(wake_fd_, &value, sizeof(value));
-          // Re-arm wake coalescing. Any Post that skipped its eventfd write
-          // did so before this clear, so its task is already in posted_ and
-          // this iteration's RunPosted picks it up.
-          wake_pending_.store(false, std::memory_order_release);
+          (void)!read(wake_fd_, &value, sizeof(value));  // Stop()'s wake
           break;
         }
         case Handle::Kind::kWork:
@@ -401,200 +342,9 @@ void Reactor::LoopMain() {
         case Handle::Kind::kConn:
           HandleConnEvent(static_cast<Conn*>(handle->target), events[i].events, buffer);
           break;
-        case Handle::Kind::kClient: {
-          // Removal during this batch is possible (a handler may close a
-          // sibling); look up by identity before trusting the pointer.
-          ClientFd* client = static_cast<ClientFd*>(handle->target);
-          auto it = client_fds_.find(client);
-          if (it != client_fds_.end()) {
-            // Keep the registration alive across the handler: the handler
-            // itself may call RemoveClientFd on this fd.
-            std::shared_ptr<ClientFd> shared = it->second;
-            shared->handler(events[i].events);
-          }
-          break;
-        }
-      }
-    }
-    // Run posted work until none is left — including tasks posted by the
-    // tasks and timers run here, which skip the eventfd (Post) — so no
-    // self-post waits out the next epoll_wait.
-    while (!stopping_.load(std::memory_order_acquire)) {
-      RunPosted();
-      RunDueTimers();
-      MutexLock lock(posted_mu_);
-      if (posted_.empty()) {
-        break;
       }
     }
   }
-}
-
-bool Reactor::Post(std::function<void()> fn) {
-  if (stopping_.load(std::memory_order_acquire)) {
-    return false;
-  }
-  {
-    MutexLock lock(state_mu_);
-    if (!running_) {
-      return false;
-    }
-  }
-  {
-    MutexLock lock(posted_mu_);
-    posted_.push_back(std::move(fn));
-  }
-  // A post from the loop thread needs no wake: the loop drains posted_
-  // until it is empty before it blocks again.
-  if (on_loop_thread()) {
-    return true;
-  }
-  // Coalesce wakes: a burst of posts (an async client issuing a window of
-  // calls) pays one eventfd write, not one per task. The loop clears the
-  // flag when it consumes the wake, before draining posted_.
-  if (!wake_pending_.exchange(true, std::memory_order_acq_rel)) {
-    uint64_t one = 1;
-    (void)!write(wake_fd_, &one, sizeof(one));
-  }
-  return true;
-}
-
-// hcs:on-loop(sanctioned any-thread reader: only loads the loop_tid_ atomic)
-bool Reactor::on_loop_thread() const {
-  return loop_tid_.load(std::memory_order_acquire) == std::this_thread::get_id();
-}
-
-void Reactor::AssertLoopAffinity(const char* func, const char* file, int line) const {
-  std::thread::id loop = loop_tid_.load(std::memory_order_acquire);
-  if (loop == std::thread::id{} || loop == std::this_thread::get_id()) {
-    return;  // loop not running (single-threaded setup/teardown), or on it
-  }
-  std::fprintf(stderr,
-               "HCS_ASSERT_LOOP: %s (%s:%d) touched loop-owned state of reactor %p "
-               "from off the loop thread while its loop is running; Post/ScheduleAfter "
-               "the work onto the loop instead\n",
-               func, file, line, static_cast<const void*>(this));
-  std::abort();
-}
-
-const Reactor* CurrentLoopReactor() { return t_loop_reactor; }
-
-void AbortIfWaitOnLoopThread(const char* what, const char* birth_file, int birth_line) {
-  const Reactor* loop = t_loop_reactor;
-  if (loop == nullptr) {
-    return;
-  }
-  std::fprintf(stderr,
-               "hcs loop-affinity: %s on the event-loop thread of reactor %p "
-               "self-deadlocks: the loop is the only thread that can deliver the "
-               "completion it is waiting for (future born at %s:%d). Use "
-               "OnComplete, or move the wait off the loop thread.\n",
-               what, static_cast<const void*>(loop),
-               birth_file != nullptr ? birth_file : "<unknown>", birth_line);
-  std::abort();
-}
-
-void Reactor::RunPosted() {
-  std::deque<std::function<void()>> batch;
-  {
-    MutexLock lock(posted_mu_);
-    batch.swap(posted_);
-  }
-  for (std::function<void()>& fn : batch) {
-    fn();
-  }
-}
-
-uint64_t Reactor::ScheduleAfter(int64_t delay_ms, std::function<void()> fn) {
-  HCS_ASSERT_LOOP(this);
-  uint64_t id = next_timer_id_++;
-  timers_[id] = std::move(fn);
-  timer_heap_.emplace_back(SteadyNowMs() + std::max<int64_t>(delay_ms, 0), id);
-  std::push_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>());
-  return id;
-}
-
-void Reactor::CancelTimer(uint64_t id) {
-  HCS_ASSERT_LOOP(this);
-  // Lazy deletion: the heap entry stays and is skipped when popped.
-  timers_.erase(id);
-}
-
-int Reactor::NextTimerTimeoutMs() {
-  while (!timer_heap_.empty() &&
-         timers_.find(timer_heap_.front().second) == timers_.end()) {
-    std::pop_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>());
-    timer_heap_.pop_back();  // cancelled: drop the stale entry
-  }
-  if (timer_heap_.empty()) {
-    return -1;
-  }
-  int64_t delta = timer_heap_.front().first - SteadyNowMs();
-  if (delta <= 0) {
-    return 0;
-  }
-  return static_cast<int>(std::min<int64_t>(delta, 60 * 1000));
-}
-
-void Reactor::RunDueTimers() {
-  const int64_t now = SteadyNowMs();
-  while (!timer_heap_.empty() && timer_heap_.front().first <= now) {
-    uint64_t id = timer_heap_.front().second;
-    std::pop_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>());
-    timer_heap_.pop_back();
-    auto it = timers_.find(id);
-    if (it == timers_.end()) {
-      continue;  // cancelled
-    }
-    std::function<void()> fn = std::move(it->second);
-    timers_.erase(it);
-    fn();
-  }
-}
-
-Status Reactor::AddClientFd(int fd, uint32_t events, std::function<void(uint32_t)> handler) {
-  HCS_ASSERT_LOOP(this);
-  auto client = std::make_shared<ClientFd>();
-  client->fd = fd;
-  client->handler = std::move(handler);
-  client->handle = Handle{Handle::Kind::kClient, client.get()};
-  epoll_event ev{};
-  ev.events = events;
-  ev.data.ptr = &client->handle;
-  if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-    int saved = errno;
-    return UnavailableError(StrFormat("epoll_ctl(client add): %s", std::strerror(saved)));
-  }
-  client_by_fd_[fd] = client.get();
-  client_fds_[client.get()] = std::move(client);
-  return Status::Ok();
-}
-
-Status Reactor::ModClientFd(int fd, uint32_t events) {
-  HCS_ASSERT_LOOP(this);
-  auto it = client_by_fd_.find(fd);
-  if (it == client_by_fd_.end()) {
-    return NotFoundError("client fd not registered");
-  }
-  epoll_event ev{};
-  ev.events = events;
-  ev.data.ptr = &it->second->handle;
-  if (epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) < 0) {
-    return UnavailableError(StrFormat("epoll_ctl(client mod): %s", std::strerror(errno)));
-  }
-  return Status::Ok();
-}
-
-void Reactor::RemoveClientFd(int fd) {
-  HCS_ASSERT_LOOP(this);
-  auto it = client_by_fd_.find(fd);
-  if (it == client_by_fd_.end()) {
-    return;
-  }
-  ClientFd* client = it->second;
-  (void)epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  client_by_fd_.erase(it);
-  client_fds_.erase(client);  // ~ClientFd closes the fd
 }
 
 uint32_t Reactor::UdpInterest(const Endpoint& endpoint) {

@@ -194,7 +194,7 @@ Result<Bytes> TcpStreamTransport::RoundTrip(const std::string& from_host,
                                             const Bytes& message) {
   (void)from_host;
   (void)to_host;  // everything lives on 127.0.0.1
-  return Exchange(port, message, timeout_ms_);
+  return Exchange(port, message, timeout_ms_, nullptr);
 }
 
 Result<Bytes> TcpStreamTransport::RoundTripWithBudget(const std::string& from_host,
@@ -203,11 +203,27 @@ Result<Bytes> TcpStreamTransport::RoundTripWithBudget(const std::string& from_ho
   (void)from_host;
   (void)to_host;
   int64_t timeout = budget_ms > 0 ? std::min<int64_t>(budget_ms, timeout_ms_) : timeout_ms_;
-  return Exchange(port, message, timeout);
+  return Exchange(port, message, timeout, nullptr);
+}
+
+Result<BytesView> TcpStreamTransport::RoundTripMatching(const std::string& from_host,
+                                                        const std::string& to_host, uint16_t port,
+                                                        const Bytes& message, int64_t budget_ms,
+                                                        const ReplyMatcher& reply,
+                                                        Bytes* storage) {
+  (void)from_host;
+  (void)to_host;
+  int64_t timeout = budget_ms > 0 ? std::min<int64_t>(budget_ms, timeout_ms_) : timeout_ms_;
+  Result<Bytes> response = Exchange(port, message, timeout, &reply);
+  if (!response.ok()) {
+    return response.status();
+  }
+  *storage = std::move(response).value();
+  return BytesView(*storage);
 }
 
 Result<Bytes> TcpStreamTransport::Exchange(uint16_t port, const Bytes& message,
-                                           int64_t timeout_ms) {
+                                           int64_t timeout_ms, const ReplyMatcher* reply) {
   if (message.size() > kMaxStreamFrame) {
     return ResourceExhaustedError("message exceeds the stream frame cap");
   }
@@ -233,28 +249,33 @@ Result<Bytes> TcpStreamTransport::Exchange(uint16_t port, const Bytes& message,
     return fail(io);
   }
 
-  uint8_t reply_header[4];
-  io = ReadFull(fd, reply_header, sizeof(reply_header), deadline_ms);
-  if (!io.ok()) {
-    return fail(io);
-  }
-  uint32_t frame_len = (static_cast<uint32_t>(reply_header[0]) << 24) |
-                       (static_cast<uint32_t>(reply_header[1]) << 16) |
-                       (static_cast<uint32_t>(reply_header[2]) << 8) |
-                       static_cast<uint32_t>(reply_header[3]);
-  // Framing assertion: a length beyond the cap means the stream is
-  // desynchronized or the peer is broken; the connection is unusable.
-  if (frame_len > kMaxStreamFrame) {
-    return fail(ProtocolError(
-        StrFormat("stream frame length %u exceeds cap %zu", frame_len, kMaxStreamFrame)));
-  }
-  Bytes reply(frame_len);
-  io = ReadFull(fd, reply.data(), reply.size(), deadline_ms);
-  if (!io.ok()) {
-    return fail(io);
-  }
+  // A frame the matcher rejects answers an earlier call on this pooled
+  // connection (a duplicated reply); drop it and read the next.
+  Bytes frame;
+  do {
+    uint8_t frame_header[4];
+    io = ReadFull(fd, frame_header, sizeof(frame_header), deadline_ms);
+    if (!io.ok()) {
+      return fail(io);
+    }
+    uint32_t frame_len = (static_cast<uint32_t>(frame_header[0]) << 24) |
+                         (static_cast<uint32_t>(frame_header[1]) << 16) |
+                         (static_cast<uint32_t>(frame_header[2]) << 8) |
+                         static_cast<uint32_t>(frame_header[3]);
+    // Framing assertion: a length beyond the cap means the stream is
+    // desynchronized or the peer is broken; the connection is unusable.
+    if (frame_len > kMaxStreamFrame) {
+      return fail(ProtocolError(
+          StrFormat("stream frame length %u exceeds cap %zu", frame_len, kMaxStreamFrame)));
+    }
+    frame.resize(frame_len);
+    io = ReadFull(fd, frame.data(), frame.size(), deadline_ms);
+    if (!io.ok()) {
+      return fail(io);
+    }
+  } while (reply != nullptr && !reply->Matches(frame.data(), frame.size()));
   ReleaseConnection(port, fd);
-  return reply;
+  return frame;
 }
 
 }  // namespace hcs

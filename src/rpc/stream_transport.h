@@ -52,8 +52,9 @@ class StreamNetTransport : public Transport {
 
 // Real TCP client transport over 127.0.0.1, framed as 4-byte big-endian
 // length + payload (the reactor's ServeStream framing). Connections are
-// cached per port and reused across calls; a timeout or IO error discards
-// the connection and the next call reconnects. All socket IO is
+// cached per port and reused across calls, one call at a time each; a
+// timeout or IO error discards the connection and the next call
+// reconnects. All socket IO is
 // nonblocking with explicit poll-bounded loops — partial reads and short
 // writes (a dribbling or slow peer) are reassembled, never treated as
 // errors, and a frame length beyond the cap is rejected outright.
@@ -70,11 +71,15 @@ class TcpStreamTransport : public Transport {
   HCS_NODISCARD Result<Bytes> RoundTripWithBudget(const std::string& from_host, const std::string& to_host,
                                     uint16_t port, const Bytes& message,
                                     int64_t budget_ms) override;
+  // The blocking client's exchange: a frame `reply` rejects (a duplicate
+  // of an earlier call's reply, still queued on the pooled connection) is
+  // dropped, and the read goes on within the same timeout.
+  HCS_NODISCARD Result<BytesView> RoundTripMatching(const std::string& from_host,
+                                                    const std::string& to_host, uint16_t port,
+                                                    const Bytes& message, int64_t budget_ms,
+                                                    const ReplyMatcher& reply,
+                                                    Bytes* storage) override;
   bool SupportsBudget() const override { return true; }
-
-  AsyncChannelSpec async_channel() const override {
-    return AsyncChannelSpec{AsyncChannelKind::kTcpStream, timeout_ms_};
-  }
 
   // Drops every cached connection (process restart).
   void CloseAll();
@@ -85,7 +90,9 @@ class TcpStreamTransport : public Transport {
   // Takes a pooled connection to 127.0.0.1:`port`, or dials a new one.
   HCS_NODISCARD Result<int> AcquireConnection(uint16_t port, int64_t deadline_ms);
   void ReleaseConnection(uint16_t port, int fd);
-  HCS_NODISCARD Result<Bytes> Exchange(uint16_t port, const Bytes& message, int64_t timeout_ms);
+  // `reply` null: the first frame read is the answer.
+  HCS_NODISCARD Result<Bytes> Exchange(uint16_t port, const Bytes& message, int64_t timeout_ms,
+                                       const ReplyMatcher* reply);
 
   int timeout_ms_;
   mutable Mutex mutex_{"tcp-stream-transport"};

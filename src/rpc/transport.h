@@ -10,31 +10,13 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/result.h"
 #include "src/sim/world.h"
 
 namespace hcs {
-
-// How (and whether) a transport exposes a nonblocking channel the async
-// client engine (src/rpc/async_client.h) can drive from the reactor loop.
-// kNone means CallAsync falls back to the blocking path and completes
-// inline — the behavior-preserving default for simulated and in-process
-// transports, and for wrappers (fault injection) that interpose on the
-// blocking exchange.
-enum class AsyncChannelKind {
-  kNone,
-  kUdpDatagram,  // one shared nonblocking UDP socket, xid-matched replies
-  kTcpStream,    // pooled pipelined connections, length-prefixed frames
-};
-
-struct AsyncChannelSpec {
-  AsyncChannelKind kind = AsyncChannelKind::kNone;
-  // Per-attempt timeout ceiling the engine applies (the transport's own
-  // default timeout; the retry budget can only shorten it).
-  int default_timeout_ms = 2000;
-};
 
 // Says whether a received datagram answers the message just sent. A
 // datagram transport's socket can still hold a duplicate of an earlier
@@ -46,6 +28,26 @@ class ReplyMatcher {
 
  protected:
   ~ReplyMatcher() = default;
+};
+
+// The caller's side of a wave (RpcClient::CallMany): what each round puts
+// on the wire, and which outstanding call a received reply answers.
+class WaveCalls {
+ public:
+  // Fills `sends` with the messages the next round puts on the wire (every
+  // call in the first round, the unanswered ones after) and sets the
+  // round's wait for replies (`*budget_ms` <= 0: the transport's default
+  // timeout). Returns false when the wave is over.
+  virtual bool NextRound(std::vector<const Bytes*>* sends, int64_t* budget_ms) = 0;
+  // True when `data` answers an outstanding call, which then has its
+  // reply. False for a stray (a duplicate, or a reply to an earlier
+  // exchange), which the transport drops.
+  virtual bool Accept(const uint8_t* data, size_t size) = 0;
+  // True while some call still waits for its reply.
+  virtual bool pending() const = 0;
+
+ protected:
+  ~WaveCalls() = default;
 };
 
 class Transport {
@@ -100,10 +102,22 @@ class Transport {
   // and deterministic.
   virtual bool SupportsBudget() const { return false; }
 
-  // The nonblocking channel this transport exposes to the async client
-  // engine. Default: none — CallAsync then completes via the blocking
-  // RoundTrip path, byte-identical to the synchronous client.
-  virtual AsyncChannelSpec async_channel() const { return {}; }
+  // True when RoundTripWave runs a wave as one exchange. Otherwise the
+  // client makes a wave's calls one after another.
+  virtual bool SupportsWaves() const { return false; }
+
+  // Runs a wave of calls to (`to_host`, `port`) on the calling thread:
+  // each round sends every message `calls` hands out before it reads any
+  // reply, then reads replies into `calls.Accept` until none is pending or
+  // the round's wait runs out. A socket error ends the wave with that
+  // status. Only transports whose SupportsWaves() is true implement it.
+  HCS_NODISCARD virtual Status RoundTripWave(const std::string& to_host, uint16_t port,
+                                             WaveCalls& calls) {
+    (void)to_host;
+    (void)port;
+    (void)calls;
+    return UnimplementedError("transport runs no waves");
+  }
 };
 
 // Transport over the simulated internetwork. Endpoints are the services

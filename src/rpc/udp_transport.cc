@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include "src/common/strings.h"
+#include "src/rpc/async_client.h"
 #include "src/rpc/context.h"
 #include "src/rpc/control.h"
 #include "src/rpc/mmsg.h"
@@ -201,7 +202,32 @@ struct ClientSocket {
       timeout_ms = 0;
     }
   }
+  // Opens the socket if a failed exchange abandoned it (or none exists).
+  Status Open() {
+    if (fd < 0) {
+      fd = socket(AF_INET, SOCK_DGRAM, 0);
+      if (fd < 0) {
+        return UnavailableError(StrFormat("socket(): %s", std::strerror(errno)));
+      }
+    }
+    return Status::Ok();
+  }
 };
+
+thread_local ClientSocket t_client_socket;
+
+Status SendDatagram(ClientSocket& sock, uint16_t port, const Bytes& message) {
+  if (message.size() > kMaxDatagram) {
+    return ResourceExhaustedError("message exceeds one datagram");
+  }
+  sockaddr_in addr = LoopbackAddress(port);
+  if (sendto(sock.fd, message.data(), message.size(), 0, reinterpret_cast<sockaddr*>(&addr),
+             sizeof(addr)) < 0) {
+    return UnavailableError(StrFormat("sendto(): %s", std::strerror(errno)));
+  }
+  CountUdpExchangeSend();
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -210,27 +236,18 @@ Result<BytesView> UdpTransport::Exchange(uint16_t port, const Bytes& message,
   if (message.size() > kMaxDatagram) {
     return ResourceExhaustedError("message exceeds one datagram");
   }
-
-  thread_local ClientSocket sock;
-  if (sock.fd < 0) {
-    sock.fd = socket(AF_INET, SOCK_DGRAM, 0);
-    if (sock.fd < 0) {
-      return UnavailableError(StrFormat("socket(): %s", std::strerror(errno)));
-    }
-  }
+  ClientSocket& sock = t_client_socket;
+  HCS_RETURN_IF_ERROR(sock.Open());
   if (timeout_ms < 1) {
     timeout_ms = 1;  // 0 would mean "block forever" to SO_RCVTIMEO
   }
   sock.SetTimeout(timeout_ms);
 
-  sockaddr_in addr = LoopbackAddress(port);
-  if (sendto(sock.fd, message.data(), message.size(), 0, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) < 0) {
-    int saved = errno;
+  Status sent = SendDatagram(sock, port, message);
+  if (!sent.ok()) {
     sock.Abandon();
-    return UnavailableError(StrFormat("sendto(): %s", std::strerror(saved)));
+    return sent;
   }
-  CountUdpExchangeSend();
 
   Bytes& buffer = sock.buffer;
   const int64_t deadline_ms = reply != nullptr ? SteadyNowMs() + timeout_ms : 0;
@@ -251,6 +268,7 @@ Result<BytesView> UdpTransport::Exchange(uint16_t port, const Bytes& message,
     }
     // A stray reply to an earlier exchange: drop it and wait out the rest
     // of this exchange's timeout.
+    g_client_call_counters.udp_unmatched.fetch_add(1, std::memory_order_relaxed);
     int64_t left_ms = deadline_ms - SteadyNowMs();
     if (left_ms <= 0) {
       sock.Abandon();
@@ -259,6 +277,58 @@ Result<BytesView> UdpTransport::Exchange(uint16_t port, const Bytes& message,
     }
     sock.SetTimeout(left_ms);
   }
+}
+
+Status UdpTransport::RoundTripWave(const std::string& to_host, uint16_t port,
+                                   WaveCalls& calls) {
+  (void)to_host;  // everything lives on 127.0.0.1
+  ClientSocket& sock = t_client_socket;
+  HCS_RETURN_IF_ERROR(sock.Open());
+  Status status = Status::Ok();
+  std::vector<const Bytes*> sends;
+  int64_t budget_ms = 0;
+  bool gave_up = false;  // the wave ended with calls unanswered
+  while (status.ok()) {
+    const bool unanswered = calls.pending();
+    if (!calls.NextRound(&sends, &budget_ms)) {
+      gave_up = unanswered;
+      break;
+    }
+    // The whole round goes out before any reply is read.
+    for (const Bytes* message : sends) {
+      status = SendDatagram(sock, port, *message);
+      if (!status.ok()) {
+        break;
+      }
+    }
+    const int64_t wait_ms = std::max<int64_t>(
+        1, budget_ms > 0 ? std::min<int64_t>(budget_ms, timeout_ms_) : timeout_ms_);
+    const int64_t deadline_ms = SteadyNowMs() + wait_ms;
+    while (status.ok() && calls.pending()) {
+      int64_t left_ms = deadline_ms - SteadyNowMs();
+      if (left_ms <= 0) {
+        break;  // the round's wait ran out; the next round re-sends
+      }
+      sock.SetTimeout(left_ms);
+      ssize_t n = recv(sock.fd, sock.buffer.data(), sock.buffer.size(), 0);
+      if (n < 0) {
+        if (errno != EAGAIN && errno != EWOULDBLOCK) {
+          status = UnavailableError(StrFormat("recv(): %s", std::strerror(errno)));
+        }
+        break;
+      }
+      CountUdpExchangeRecv();
+      if (!calls.Accept(sock.buffer.data(), static_cast<size_t>(n))) {
+        g_client_call_counters.udp_unmatched.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  }
+  // A call that went unanswered may still be answered late: as in Exchange,
+  // the socket goes rather than hold that reply for the next exchange.
+  if (!status.ok() || gave_up) {
+    sock.Abandon();
+  }
+  return status;
 }
 
 }  // namespace hcs

@@ -91,10 +91,11 @@ class UdpServerHost {
 // failed exchange closes that socket, so a reply that arrives after its
 // exchange gave up is never read as the next one's answer, and
 // RoundTripMatching drops any stray reply that is still queued (a
-// duplicate of one that was answered). RpcClient::Call runs its datagram
-// calls through here; CallAsync uses the async channel below and the
-// AsyncClientEngine instead. Both paths report their syscalls to
-// SnapshotUdpIoCounters().
+// duplicate of one that was answered). RpcClient::Call runs its calls
+// through RoundTripMatching and RpcClient::CallMany its waves through
+// RoundTripWave, on the same socket. Both count their syscalls in
+// SnapshotUdpIoCounters() and the strays they drop in
+// GlobalAsyncClientEngine()'s udp_unmatched.
 class UdpTransport : public Transport {
  public:
   // `timeout_ms` bounds each exchange; expiry surfaces as kTimeout.
@@ -122,9 +123,13 @@ class UdpTransport : public Transport {
 
   bool SupportsBudget() const override { return true; }
 
-  AsyncChannelSpec async_channel() const override {
-    return AsyncChannelSpec{AsyncChannelKind::kUdpDatagram, timeout_ms_};
-  }
+  // A wave runs on the calling thread's socket: each round's requests all
+  // go out before any reply is read, and each round waits at most
+  // min(its budget, the default timeout). A call still unanswered when
+  // the wave ends closes the socket, as a failed exchange does.
+  bool SupportsWaves() const override { return true; }
+  HCS_NODISCARD Status RoundTripWave(const std::string& to_host, uint16_t port,
+                                     WaveCalls& calls) override;
 
  private:
   // `reply` null: the first datagram received is the answer. The view is

@@ -1,10 +1,8 @@
-// The real-socket client drivers shared by the runtime benches and the
+// The real-socket client driver shared by the runtime benches and the
 // workload scenario suite (hoisted from bench/bench_reactor_util.h so the
-// two no longer drift): a thread-per-call closed loop and its single-thread
-// async counterpart, the burst-refill window driver over the reactor-driven
-// AsyncClientEngine. Unlike the sim-clock engine in engine.h, these numbers
-// are wall-clock — the point is the serving and client runtimes, not the
-// name-service model.
+// two no longer drift): a thread-per-call closed loop. Unlike the
+// sim-clock engine in engine.h, these numbers are wall-clock — the point is
+// the serving and client runtimes, not the name-service model.
 
 #ifndef HCS_SRC_WORKLOAD_DRIVER_H_
 #define HCS_SRC_WORKLOAD_DRIVER_H_
@@ -12,13 +10,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <mutex>
 #include <thread>
 #include <vector>
 
-#include "src/rpc/async_client.h"
 #include "src/rpc/client.h"
 #include "src/rpc/context.h"
 #include "src/rpc/control.h"
@@ -109,104 +104,6 @@ inline SweepPoint DriveClients(uint16_t port, int clients, int requests_per_clie
   if (failures.load(std::memory_order_relaxed) != 0) {
     std::printf("  WARNING: %d calls failed at %d clients\n",
                 failures.load(std::memory_order_relaxed), clients);
-  }
-  return point;
-}
-
-// The single-process async counterpart of DriveClients: ONE client on ONE
-// thread keeps `window` CallAsync requests in flight (refilled from the
-// issuing loop as completions free slots) until `total_requests` have
-// completed. No thread per call: the engine's loop thread carries every
-// send, reply match, and completion callback. `clients` in the returned
-// point is the window, so rows line up with a thread-per-call sweep at the
-// same concurrency.
-inline SweepPoint DriveClientsAsync(uint16_t port, int window, int total_requests) {
-  HrpcBinding binding = SweepBinding(port);
-  const Bytes payload{1, 2, 3, 4};
-  UdpTransport transport(/*timeout_ms=*/2000);
-  RpcClient client(/*world=*/nullptr, "benchclient", &transport);
-  AsyncClientEngine engine;
-  client.set_async_engine(&engine);
-
-  // Shared between the issuing thread and the engine's completion
-  // callbacks. One pointer to this keeps the per-call closure at two words,
-  // small enough for std::function's inline storage — no allocation per
-  // completion handler.
-  struct AsyncSweepState {
-    std::mutex mu;
-    std::condition_variable cv;
-    int outstanding = 0;
-    int completed = 0;
-    int failures = 0;
-    int total = 0;
-    int low_water = 0;
-    std::vector<double> all;
-    uint64_t attempts = 0;
-    uint64_t retries = 0;
-  };
-  AsyncSweepState st;
-  st.total = total_requests;
-  // Burst refill: sleep until an eighth of the window drains, then top it
-  // back up. Waking the issuer per completion would cost a futex round-trip
-  // per call — the thread-per-call context-switch tax this driver exists to
-  // avoid — while draining too far would under-fill the pipeline (the
-  // closed-loop comparison holds ~`window` calls in flight, like `window`
-  // blocking threads do).
-  st.low_water = window - std::max(1, window / 8);
-  st.all.reserve(total_requests);
-
-  auto start = std::chrono::steady_clock::now();
-  int issued = 0;
-  while (issued < total_requests) {
-    int burst;
-    {
-      std::unique_lock<std::mutex> lock(st.mu);
-      st.cv.wait(lock, [&] { return st.outstanding <= st.low_water; });
-      burst = std::min(window - st.outstanding, total_requests - issued);
-      st.outstanding += burst;
-    }
-    for (int b = 0; b < burst; ++b, ++issued) {
-      auto t0 = std::chrono::steady_clock::now();
-      RpcFuture future = client.CallAsync(binding, 1, payload,
-                                          RequestContext::WithTimeout(5000));
-      AsyncSweepState* s = &st;
-      future.OnComplete([s, t0](const Result<Bytes>& result, const RpcCallInfo& info) {
-        auto t1 = std::chrono::steady_clock::now();
-        std::lock_guard<std::mutex> lock(s->mu);
-        --s->outstanding;
-        ++s->completed;
-        if (result.ok()) {
-          s->all.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
-        } else {
-          ++s->failures;
-        }
-        s->attempts += info.attempts;
-        s->retries += info.retries;
-        if (s->outstanding == s->low_water || s->completed == s->total) {
-          s->cv.notify_one();
-        }
-      });
-    }
-  }
-  {
-    std::unique_lock<std::mutex> lock(st.mu);
-    st.cv.wait(lock, [&] { return st.completed == total_requests; });
-  }
-  double elapsed_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-                         .count();
-
-  std::sort(st.all.begin(), st.all.end());
-  SweepPoint point;
-  point.clients = window;
-  if (!st.all.empty() && elapsed_s > 0) {
-    point.throughput_qps = static_cast<double>(st.all.size()) / elapsed_s;
-    point.p50_ms = st.all[st.all.size() / 2];
-    point.p99_ms = st.all[std::min(st.all.size() - 1, (st.all.size() * 99) / 100)];
-  }
-  point.attempts = st.attempts;
-  point.retries = st.retries;
-  if (st.failures != 0) {
-    std::printf("  WARNING: %d async calls failed at window %d\n", st.failures, window);
   }
   return point;
 }

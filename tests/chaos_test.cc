@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -31,6 +32,7 @@
 #include "src/hns/cache.h"
 #include "src/hns/meta_store.h"
 #include "src/hns/name.h"
+#include "src/rpc/async_client.h"
 #include "src/rpc/client.h"
 #include "src/rpc/context.h"
 #include "src/rpc/fault.h"
@@ -575,6 +577,62 @@ TEST(ChaosTest, InboundDecisionsReplayAcrossEphemeralPorts) {
   EXPECT_GT(count('.'), 0);
 }
 
+TEST(ChaosTest, OutboundDecisionsReplayAcrossEphemeralPorts) {
+  // The client-side twin of the inbound test above: an outbound stream is
+  // named by the order in which the injector first saw the destination,
+  // not by its port. Two fresh servers on different ephemeral ports, each
+  // called through its own injector with the same seed, must draw
+  // identical decisions for identical calls.
+  uint64_t seed = AnnounceSeed("OutboundDecisionsReplayAcrossEphemeralPorts");
+  FaultSpec storm;
+  storm.drop = 0.3;
+  storm.duplicate = 0.3;
+  constexpr int kCalls = 30;
+  FaultInjector first(FaultConfig{seed, {OnePhasePlan("localhost", storm)}});
+  FaultInjector second(FaultConfig{seed, {OnePhasePlan("localhost", storm)}});
+
+  RpcServer server(ControlKind::kRaw, "chaos-replay-out");
+  server.RegisterProcedure(7, 1, [](BytesView args) -> Result<Bytes> { return args.ToBytes(); });
+  UdpServerHost first_host;
+  UdpServerHost second_host;
+  Result<uint16_t> first_port = first_host.Serve(&server, 0);
+  ASSERT_TRUE(first_port.ok()) << first_port.status();
+  Result<uint16_t> second_port = second_host.Serve(&server, 0);
+  ASSERT_TRUE(second_port.ok()) << second_port.status();
+  ASSERT_NE(*first_port, *second_port);
+
+  auto run = [&](FaultInjector* injector, uint16_t port) {
+    injector->set_trace_enabled(true);
+    UdpTransport udp;
+    FaultInjectingTransport faulty(&udp, injector);
+    RpcClient client(/*world=*/nullptr, "localclient", &faulty);
+    for (int i = 0; i < kCalls; ++i) {
+      Bytes payload{static_cast<uint8_t>(i)};
+      Result<Bytes> reply = client.Call(UdpBinding(port, 7, ControlKind::kRaw), 1, payload,
+                                        RequestContext::WithTimeout(4000));
+      EXPECT_TRUE(reply.ok()) << "call " << i << ": " << reply.status();
+    }
+    return injector->TakeTrace();
+  };
+  std::vector<std::string> first_trace = run(&first, *first_port);
+  std::vector<std::string> second_trace = run(&second, *second_port);
+  first_host.StopAll();
+  second_host.StopAll();
+
+  ASSERT_GE(first_trace.size(), static_cast<size_t>(kCalls));
+  EXPECT_EQ(first_trace.front().rfind("localhost>0#0:", 0), 0u) << first_trace.front();
+  EXPECT_EQ(first_trace, second_trace);
+  // The plan drew a mix, so equal traces compare real draws.
+  auto count = [&](char flag) {
+    return std::count_if(first_trace.begin(), first_trace.end(), [&](const std::string& line) {
+      return line.back() == flag;
+    });
+  };
+  EXPECT_GT(count('D'), 0);
+  EXPECT_GT(count('2'), 0);
+  EXPECT_GT(count('.'), 0);
+}
+
 TEST(ChaosTest, CorruptFrameStormOverStreamStaysLive) {
   uint64_t seed = AnnounceSeed("CorruptFrameStormOverStreamStaysLive");
   FaultSpec garble;
@@ -616,13 +674,11 @@ TEST(ChaosTest, CorruptFrameStormOverStreamStaysLive) {
   EXPECT_GT(collected.corruptions, 0u) << "a 40% corruption plan that never fired is not running";
 }
 
-// --- Async pipeline scenarios ----------------------------------------------
+// --- Seeded chaotic servers -----------------------------------------------
 //
-// The async engine does its own socket I/O, so FaultInjectingTransport (a
-// RoundTrip wrapper) cannot touch its traffic. These scenarios instead run
-// seeded chaotic *servers*: every shuffle, duplication, and crash point is
-// drawn from an mt19937_64 keyed by the scenario seed, so a failing run
-// replays byte-identically with HCS_CHAOS_SEED=<seed>.
+// Waves and stream calls against hand-rolled servers: every shuffle,
+// duplication, and crash point is drawn from an mt19937_64 keyed by the
+// scenario seed, so a failing run replays with HCS_CHAOS_SEED=<seed>.
 
 // Reads length-prefixed frames off `fd` until `want` complete request
 // bodies arrive (or the peer hangs up). Returns the raw bodies.
@@ -687,106 +743,149 @@ std::pair<int, uint16_t> ListenLoopback() {
   return {fd, ntohs(addr.sin_port)};
 }
 
-TEST(ChaosTest, AsyncUdpDuplicateReorderStormMatchesEveryReply) {
-  uint64_t seed = AnnounceSeed("AsyncUdpDuplicateReorderStormMatchesEveryReply");
-  constexpr int kCalls = 16;
-
-  // A chaotic echo server: collects every request first, then answers in a
-  // seed-shuffled order, duplicating some replies and re-sending a few
-  // stale ones at the end. The client must still hand every future its own
-  // payload, and account the leftovers as unmatched datagrams.
-  int server_fd = socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(server_fd, 0);
+// A loopback UDP socket for a hand-rolled server; `*port_out` is its port.
+int BindUdpLoopback(uint16_t* port_out) {
+  int fd = socket(AF_INET, SOCK_DGRAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(bind(server_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
   socklen_t addr_len = sizeof(addr);
-  ASSERT_EQ(getsockname(server_fd, reinterpret_cast<sockaddr*>(&addr), &addr_len), 0);
-  uint16_t server_port = ntohs(addr.sin_port);
+  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) != 0) {
+    close(fd);
+    return -1;
+  }
+  timeval tv{};
+  tv.tv_sec = 5;  // a server waiting for a client that died gives up
+  (void)setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  *port_out = ntohs(addr.sin_port);
+  return fd;
+}
 
+// One raw request a hand-rolled UDP server received, and its echo reply.
+struct UdpRequest {
+  sockaddr_in peer{};
+  socklen_t peer_len = sizeof(sockaddr_in);
+  Bytes args;
+  Bytes reply;
+};
+
+bool RecvUdpRequest(int fd, UdpRequest* out) {
+  const ControlProtocol& control = GetControlProtocol(ControlKind::kRaw);
+  while (true) {
+    uint8_t buf[2048];
+    out->peer_len = sizeof(out->peer);
+    ssize_t n = recvfrom(fd, buf, sizeof(buf), 0, reinterpret_cast<sockaddr*>(&out->peer),
+                         &out->peer_len);
+    if (n <= 0) {
+      return false;
+    }
+    Result<RpcCall> call = control.DecodeCall(Bytes(buf, buf + n));
+    if (!call.ok()) {
+      continue;
+    }
+    RpcReplyMsg reply;
+    reply.xid = call->xid;
+    reply.results = call->args;
+    out->args = call->args;
+    out->reply = control.EncodeReply(reply);
+    return true;
+  }
+}
+
+void SendUdpReply(int fd, const UdpRequest& request, const Bytes& reply) {
+  (void)sendto(fd, reply.data(), reply.size(), 0,
+               reinterpret_cast<const sockaddr*>(&request.peer),
+               request.peer_len);  // hcs:ignore-status(chaos server; a lost reply is the fault under test)
+}
+
+TEST(ChaosTest, UdpWaveDuplicateReorderStormMatchesEveryReply) {
+  uint64_t seed = AnnounceSeed("UdpWaveDuplicateReorderStormMatchesEveryReply");
+  constexpr int kCalls = 16;
+  const Bytes kFollowUp{0xee};
+
+  // A chaotic echo server: collects the whole wave first, then answers in
+  // a seed-shuffled order, duplicating some replies and re-sending a few
+  // stale ones at the end; then it answers one follow-up call. Every call
+  // of the wave must get its own payload, and every extra copy must be
+  // dropped as an unmatched datagram: by the wave, or by the follow-up
+  // call that reads the strays still queued on the thread's socket.
+  uint16_t server_port = 0;
+  int server_fd = BindUdpLoopback(&server_port);
+  ASSERT_GE(server_fd, 0);
   std::atomic<int> duplicates_sent{0};
   std::thread server([server_fd, seed, &duplicates_sent] {
-    const ControlProtocol& control = GetControlProtocol(ControlKind::kRaw);
     std::mt19937_64 rng(seed);
-    std::vector<Bytes> replies;
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof(peer);
-    while (replies.size() < kCalls) {
-      uint8_t buf[2048];
-      peer_len = sizeof(peer);
-      ssize_t n = recvfrom(server_fd, buf, sizeof(buf), 0,
-                           reinterpret_cast<sockaddr*>(&peer), &peer_len);
-      if (n <= 0) {
+    std::vector<UdpRequest> requests(kCalls);
+    for (UdpRequest& request : requests) {
+      if (!RecvUdpRequest(server_fd, &request)) {
         return;
       }
-      Bytes request(buf, buf + n);
-      Result<RpcCall> call = control.DecodeCall(request);
-      if (!call.ok()) {
-        continue;
-      }
-      RpcReplyMsg reply;
-      reply.xid = call->xid;
-      reply.results = call->args;
-      replies.push_back(control.EncodeReply(reply));
     }
-    std::shuffle(replies.begin(), replies.end(), rng);
-    auto send_reply = [&](const Bytes& reply) {
-      (void)sendto(server_fd, reply.data(), reply.size(), 0,
-                   reinterpret_cast<sockaddr*>(&peer),
-                   peer_len);  // hcs:ignore-status(chaos server; a lost reply is the fault under test)
-    };
-    for (const Bytes& reply : replies) {
-      send_reply(reply);
+    std::shuffle(requests.begin(), requests.end(), rng);
+    for (const UdpRequest& request : requests) {
+      SendUdpReply(server_fd, request, request.reply);
       if (rng() % 100 < 40) {  // duplicate storm
-        send_reply(reply);
+        SendUdpReply(server_fd, request, request.reply);
         ++duplicates_sent;
       }
     }
     for (int i = 0; i < 3; ++i) {  // stale re-sends, long after the originals
-      send_reply(replies[rng() % replies.size()]);
+      const UdpRequest& stale = requests[rng() % requests.size()];
+      SendUdpReply(server_fd, stale, stale.reply);
       ++duplicates_sent;
+    }
+    UdpRequest follow_up;
+    if (RecvUdpRequest(server_fd, &follow_up)) {
+      SendUdpReply(server_fd, follow_up, follow_up.reply);
     }
   });
 
   UdpTransport transport;
   RpcClient client(/*world=*/nullptr, "localclient", &transport);
-  AsyncClientEngine engine;
-  client.set_async_engine(&engine);
-
-  std::vector<RpcFuture> futures;
+  HrpcBinding binding = UdpBinding(server_port, 7, ControlKind::kRaw);
+  std::vector<Bytes> bodies;
   for (int i = 0; i < kCalls; ++i) {
-    futures.push_back(client.CallAsync(UdpBinding(server_port, 7, ControlKind::kRaw), 1,
-                                       Bytes{static_cast<uint8_t>(i), 0x5a}));
+    bodies.push_back(Bytes{static_cast<uint8_t>(i), 0x5a});
   }
-  int mismatches = 0;
-  for (int i = 0; i < kCalls; ++i) {
-    Result<Bytes> reply = futures[i].Wait();
-    ASSERT_TRUE(reply.ok()) << "call " << i << ": " << reply.status();
-    if (*reply != (Bytes{static_cast<uint8_t>(i), 0x5a})) {
-      ++mismatches;
-    }
-  }
+  const AsyncEngineStats before = GlobalAsyncClientEngine()->stats();
+  std::vector<Result<Bytes>> replies = client.CallMany(binding, 1, bodies);
+  Result<Bytes> follow_up = client.Call(binding, 1, kFollowUp);
+  const AsyncEngineStats after = GlobalAsyncClientEngine()->stats();
   server.join();
   close(server_fd);
 
+  int mismatches = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(replies[i].ok()) << "call " << i << ": " << replies[i].status();
+    if (*replies[i] != bodies[i]) {
+      ++mismatches;
+    }
+  }
   EXPECT_EQ(mismatches, 0) << "a duplicated or reordered reply crossed calls";
+  ASSERT_TRUE(follow_up.ok()) << follow_up.status();
+  EXPECT_EQ(*follow_up, kFollowUp) << "a stray of the wave answered the next call";
   EXPECT_GT(duplicates_sent.load(), 0) << "a 40% duplicate storm that never fired";
-  // Every duplicate eventually lands as an unmatched datagram (its call
-  // already completed). Give stragglers a beat to arrive.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_EQ(engine.stats().udp_unmatched, static_cast<uint64_t>(duplicates_sent.load()));
-  std::cout << "[chaos] AsyncUdpDuplicateReorderStorm duplicates=" << duplicates_sent.load()
-            << " unmatched=" << engine.stats().udp_unmatched << std::endl;
+  EXPECT_EQ(after.udp_unmatched - before.udp_unmatched,
+            static_cast<uint64_t>(duplicates_sent.load()));
+  EXPECT_EQ(after.retries - before.retries, 0u);
+  std::cout << "[chaos] UdpWaveDuplicateReorderStorm duplicates=" << duplicates_sent.load()
+            << " unmatched=" << after.udp_unmatched - before.udp_unmatched << std::endl;
 }
 
-TEST(ChaosTest, AsyncStreamPipelineSurvivesDuplicateAndReorderedFrames) {
-  uint64_t seed = AnnounceSeed("AsyncStreamPipelineSurvivesDuplicateAndReorderedFrames");
+TEST(ChaosTest, StreamDuplicateFramesNeverCrossPooledCalls) {
+  uint64_t seed = AnnounceSeed("StreamDuplicateFramesNeverCrossPooledCalls");
   constexpr int kCalls = 8;
 
   auto [listen_fd, port] = ListenLoopback();
   ASSERT_GE(listen_fd, 0);
 
+  // The server answers every call on the one connection with its reply
+  // frame two or three times (the seed picks): the copies stay queued on
+  // the pooled connection, ahead of the next call's answer.
   std::atomic<int> duplicates_sent{0};
   std::atomic<bool> server_ok{true};
   std::thread server([listen_fd, seed, &duplicates_sent, &server_ok] {
@@ -795,128 +894,128 @@ TEST(ChaosTest, AsyncStreamPipelineSurvivesDuplicateAndReorderedFrames) {
       server_ok = false;
       return;
     }
-    std::vector<Bytes> requests = ReadFramedRequests(conn, kCalls);
-    if (requests.size() != kCalls) {
-      server_ok = false;
-      close(conn);
-      return;
-    }
     std::mt19937_64 rng(seed);
-    std::shuffle(requests.begin(), requests.end(), rng);
-    for (const Bytes& request : requests) {
-      Bytes framed = FramedEchoReply(request);
-      (void)send(conn, framed.data(), framed.size(),
-                 0);  // hcs:ignore-status(chaos server; a lost frame is the fault under test)
-      if (rng() % 100 < 40) {  // duplicate the frame, same xid
-        (void)send(conn, framed.data(), framed.size(),
-                   0);  // hcs:ignore-status(chaos server; duplicate frame is the fault under test)
-        ++duplicates_sent;
+    for (int i = 0; i < kCalls; ++i) {
+      std::vector<Bytes> requests = ReadFramedRequests(conn, 1);
+      if (requests.size() != 1) {
+        server_ok = false;
+        break;
       }
+      Bytes framed = FramedEchoReply(requests.front());
+      const int copies = 2 + static_cast<int>(rng() % 2);
+      for (int c = 0; c < copies; ++c) {
+        (void)send(conn, framed.data(), framed.size(),
+                   0);  // hcs:ignore-status(chaos server; a duplicate frame is the fault under test)
+      }
+      duplicates_sent += copies - 1;
     }
-    // Keep the pipe open until the client has drained everything.
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
     close(conn);
   });
 
-  AsyncEngineOptions options;
-  options.max_conns_per_remote = 1;  // every call pipelined on one pipe
-  AsyncClientEngine engine(options);
   TcpStreamTransport transport;
   RpcClient client(/*world=*/nullptr, "localclient", &transport);
-  client.set_async_engine(&engine);
-
   HrpcBinding binding = UdpBinding(port, 7, ControlKind::kRaw);
   binding.transport = TransportKind::kTcp;
-  std::vector<RpcFuture> futures;
   for (int i = 0; i < kCalls; ++i) {
-    futures.push_back(client.CallAsync(binding, 1, Bytes{static_cast<uint8_t>(i), 0x77}));
-  }
-  for (int i = 0; i < kCalls; ++i) {
-    Result<Bytes> reply = futures[i].Wait();
+    Bytes payload{static_cast<uint8_t>(i), 0x77};
+    Result<Bytes> reply = client.Call(binding, 1, payload);
     ASSERT_TRUE(reply.ok()) << "call " << i << ": " << reply.status();
-    EXPECT_EQ(*reply, (Bytes{static_cast<uint8_t>(i), 0x77}))
-        << "a reordered or duplicated frame crossed pipelined calls";
+    EXPECT_EQ(*reply, payload) << "a duplicated frame answered a later call";
   }
   server.join();
   close(listen_fd);
   ASSERT_TRUE(server_ok.load());
-
-  EXPECT_EQ(engine.stats().stream_connects, 1u);
-  EXPECT_EQ(engine.stats().stream_unmatched, static_cast<uint64_t>(duplicates_sent.load()))
-      << "every duplicated frame must be counted, never crossed onto a call";
-  std::cout << "[chaos] AsyncStreamPipelineDupReorder duplicates=" << duplicates_sent.load()
+  EXPECT_EQ(transport.connects(), 1u) << "every call rides the one pooled connection";
+  EXPECT_GE(duplicates_sent.load(), kCalls);
+  std::cout << "[chaos] StreamDuplicateFrames duplicates=" << duplicates_sent.load()
             << std::endl;
 }
 
-TEST(ChaosTest, AsyncServerCrashMidPipelineFailsAllOutstandingFutures) {
-  uint64_t seed = AnnounceSeed("AsyncServerCrashMidPipelineFailsAllOutstandingFutures");
+TEST(ChaosTest, ServerCrashMidWaveFailsOnlyTheOutstandingCalls) {
+  uint64_t seed = AnnounceSeed("ServerCrashMidWaveFailsOnlyTheOutstandingCalls");
   constexpr int kCalls = 8;
+  constexpr int64_t kBudgetMs = 600;
+  const Bytes kFollowUp{0xee};
 
-  auto [listen_fd, port] = ListenLoopback();
-  ASSERT_GE(listen_fd, 0);
-
-  // The seed picks how deep into the pipeline the crash lands and which
-  // calls got answered first.
+  // The seed picks how many of the wave's calls are answered before the
+  // server crashes, and which. The crashed server reads nothing; once the
+  // wave is over it comes back, answers the calls the wave gave up on
+  // (late replies, to the socket the wave used), then the next call.
   std::mt19937_64 rng(seed);
   const size_t answered = 2 + rng() % 4;  // 2..5 of 8
-  std::atomic<bool> server_ok{true};
-  std::thread server([listen_fd, answered, &rng, &server_ok] {
-    int conn = accept(listen_fd, nullptr, nullptr);
-    if (conn < 0) {
-      server_ok = false;
-      return;
-    }
-    std::vector<Bytes> requests = ReadFramedRequests(conn, kCalls);
-    if (requests.size() != kCalls) {
-      server_ok = false;
-      close(conn);
-      return;
+  uint16_t server_port = 0;
+  int server_fd = BindUdpLoopback(&server_port);
+  ASSERT_GE(server_fd, 0);
+  std::atomic<bool> wave_over{false};
+  std::thread server([server_fd, answered, &rng, &wave_over, &kFollowUp] {
+    std::vector<UdpRequest> requests(kCalls);
+    for (UdpRequest& request : requests) {
+      if (!RecvUdpRequest(server_fd, &request)) {
+        return;
+      }
     }
     std::shuffle(requests.begin(), requests.end(), rng);
     for (size_t i = 0; i < answered; ++i) {
-      Bytes framed = FramedEchoReply(requests[i]);
-      (void)send(conn, framed.data(), framed.size(),
-                 0);  // hcs:ignore-status(chaos server; the crash below is the fault under test)
+      SendUdpReply(server_fd, requests[i], requests[i].reply);
     }
-    // Crash mid-pipeline: hard close with the rest still outstanding.
-    close(conn);
+    while (!wave_over.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    for (size_t i = answered; i < requests.size(); ++i) {
+      SendUdpReply(server_fd, requests[i], requests[i].reply);
+    }
+    UdpRequest next;
+    while (RecvUdpRequest(server_fd, &next)) {
+      if (next.args == kFollowUp) {  // skip the wave's queued re-sends
+        SendUdpReply(server_fd, next, next.reply);
+        return;
+      }
+    }
   });
 
-  AsyncEngineOptions options;
-  options.max_conns_per_remote = 1;
-  AsyncClientEngine engine(options);
-  TcpStreamTransport transport;
+  UdpTransport transport(/*timeout_ms=*/100);
   RpcClient client(/*world=*/nullptr, "localclient", &transport);
-  client.set_async_engine(&engine);
-
-  HrpcBinding binding = UdpBinding(port, 7, ControlKind::kRaw);
-  binding.transport = TransportKind::kTcp;
-  std::vector<RpcFuture> futures;
+  HrpcBinding binding = UdpBinding(server_port, 7, ControlKind::kRaw);
+  std::vector<Bytes> bodies;
   for (int i = 0; i < kCalls; ++i) {
-    futures.push_back(client.CallAsync(binding, 1, Bytes{static_cast<uint8_t>(i)}));
+    bodies.push_back(Bytes{static_cast<uint8_t>(i)});
   }
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<Result<Bytes>> replies =
+      client.CallMany(binding, 1, bodies, RequestContext::WithTimeout(kBudgetMs));
+  const int64_t elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+  wave_over = true;
+  // The wave gave up on some calls, so it closed its socket: the late
+  // replies go nowhere, and the next call is answered by its own reply.
+  const uint64_t unmatched_before = GlobalAsyncClientEngine()->stats().udp_unmatched;
+  Result<Bytes> follow_up = client.Call(binding, 1, kFollowUp, RequestContext::WithTimeout(2000));
+  const uint64_t unmatched = GlobalAsyncClientEngine()->stats().udp_unmatched - unmatched_before;
+  server.join();
+  close(server_fd);
 
   size_t ok_count = 0;
-  size_t unavailable = 0;
+  size_t timed_out = 0;
   for (int i = 0; i < kCalls; ++i) {
-    Result<Bytes> reply = futures[i].Wait();
-    if (reply.ok()) {
-      EXPECT_EQ(*reply, Bytes{static_cast<uint8_t>(i)}) << "answered call " << i;
+    if (replies[i].ok()) {
+      EXPECT_EQ(*replies[i], bodies[i]) << "answered call " << i;
       ++ok_count;
     } else {
-      EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable)
-          << "outstanding call " << i << " must fail kUnavailable, got " << reply.status();
-      ++unavailable;
+      EXPECT_EQ(replies[i].status().code(), StatusCode::kTimeout)
+          << "outstanding call " << i << " must fail kTimeout, got " << replies[i].status();
+      ++timed_out;
     }
   }
-  server.join();
-  close(listen_fd);
-  ASSERT_TRUE(server_ok.load());
-
   EXPECT_EQ(ok_count, answered);
-  EXPECT_EQ(unavailable, static_cast<size_t>(kCalls) - answered);
-  std::cout << "[chaos] AsyncServerCrashMidPipeline answered=" << answered
-            << " failed_unavailable=" << unavailable << std::endl;
+  EXPECT_EQ(timed_out, static_cast<size_t>(kCalls) - answered);
+  EXPECT_GE(elapsed_ms, kBudgetMs - 50) << "the outstanding calls gave up before their deadline";
+  EXPECT_LT(elapsed_ms, kBudgetMs + 400) << "the outstanding calls outlived their deadline";
+  ASSERT_TRUE(follow_up.ok()) << follow_up.status();
+  EXPECT_EQ(*follow_up, kFollowUp);
+  EXPECT_EQ(unmatched, 0u) << "a late reply reached the next call's socket";
+  std::cout << "[chaos] ServerCrashMidWave answered=" << answered
+            << " failed_timeout=" << timed_out << " elapsed_ms=" << elapsed_ms << std::endl;
 }
 
 // --- Name-service scenarios over real sockets ------------------------------

@@ -332,42 +332,6 @@ TEST(ReactorTest, StopWithHandlersMidFlightJoinsCleanly) {
   }
 }
 
-// Tasks posted from the loop thread skip the eventfd wake; the loop must
-// still run them before it blocks. A 1000-link chain of self-posts on an
-// otherwise idle loop completes only if no wake is ever lost.
-TEST(ReactorTest, SelfPostChainFromLoopTasksCompletes) {
-  ReactorOptions options;
-  options.workers = -1;  // client-only: nothing else to wake the loop
-  Reactor reactor(options);
-  ASSERT_TRUE(reactor.Start().ok());
-  constexpr int kLinks = 1000;
-  Mutex mu;
-  CondVar cv;
-  int ran = 0;
-  bool posted_on_loop = true;
-  std::function<void()> link = [&] {
-    bool done = false;
-    {
-      MutexLock lock(mu);
-      posted_on_loop = posted_on_loop && reactor.on_loop_thread();
-      done = ++ran == kLinks;
-    }
-    if (done) {
-      cv.NotifyAll();
-    } else {
-      EXPECT_TRUE(reactor.Post(link));
-    }
-  };
-  ASSERT_TRUE(reactor.Post(link));
-  {
-    MutexLock lock(mu);
-    EXPECT_TRUE(cv.WaitFor(mu, 5000, [&] { return ran == kLinks; }))
-        << "the chain stalled after " << ran << " links: a loop-thread post lost its wake";
-    EXPECT_TRUE(posted_on_loop);
-  }
-  reactor.Stop();
-}
-
 // --- RequestContext deadline semantics --------------------------------------
 
 TEST(ReactorTest, ClientShedsSpentBudgetBeforeSending) {

@@ -96,11 +96,9 @@ TEST(EventQueueTest, EventsCanScheduleEvents) {
   int depth = 0;
   std::function<void()> chain = [&] {
     if (++depth < 4) {
-      // hcs:on-loop(sim EventQueue::ScheduleAfter, not the reactor's loop-only timer API)
       queue.ScheduleAfter(MsToSim(10), chain);
     }
   };
-  // hcs:on-loop(sim EventQueue::ScheduleAfter, not the reactor's loop-only timer API)
   queue.ScheduleAfter(MsToSim(10), chain);
   queue.RunUntilIdle();
   EXPECT_EQ(depth, 4);

@@ -23,9 +23,6 @@
 #                speed: the million-client engine's determinism claims with
 #                memory errors made fatal
 #   chaos-tsan   `ctest -L chaos` under the tsan build
-#   async-tsan   async_client_test under the tsan build: the reactor-driven
-#                client engine's loop thread, future completion,
-#                pipelining, and reap races
 #   bench-smoke  tools/bench_snapshot.py --check over every checked-in
 #                BENCH_*.json: schema + embedded trajectory floors (no
 #                re-measurement; also runs as the bench_smoke ctest)
@@ -269,24 +266,7 @@ else
   record chaos-tsan SKIP
 fi
 
-# 11. The async client core under TSan: the engine's loop thread completes
-# futures that calling threads wait on, the chaos scenarios pipeline ≥8
-# calls through it, and the reap timer races new assignments. Reuses the
-# tsan build from step 3 when it exists.
-if [[ -x "${BUILD_ROOT}/tsan/tests/async_client_test" ]]; then
-  note "async-tsan: async_client_test under thread"
-  if (cd "${BUILD_ROOT}/tsan" &&
-      ctest --output-on-failure -R '^async_client_test$'); then
-    record async-tsan PASS
-  else
-    record async-tsan FAIL
-  fi
-else
-  note "async-tsan: SKIP (tsan build unavailable)"
-  record async-tsan SKIP
-fi
-
-# 12. Perf-trajectory snapshots: every BENCH_*.json must parse, match the
+# 11. Perf-trajectory snapshots: every BENCH_*.json must parse, match the
 # schema, and clear the acceptance floors it records against the prior PR's
 # numbers. Pure validation — CI boxes are not benchmarks; regenerate
 # snapshots with tools/bench_snapshot.py --run on a quiet machine.

@@ -1,50 +1,42 @@
 #!/usr/bin/env python3
-"""Cross-TU loop-affinity and reentrancy lint for the async core.
+"""Cross-TU loop-affinity and reentrancy lint for the reactor.
 
-The reactor threading model (DESIGN.md §15) is single-owner: every piece of
-engine and reactor state is owned by the event-loop thread, cross-thread
-entry happens only through Post/ScheduleAfter, and nothing on the loop may
-block — the loop IS the thing that would unblock it. PR 8's review bugs
-were exactly violations of this contract (a waiter drain destroying a
-StreamConn under its own reader; a synchronously-completed PendingCall
-dereferenced after free), fixed by hand. This lint promotes the contract
-from prose comments to machine-checked rules, the same prose→lint+runtime
-promotion DESIGN.md §13 did for the zero-copy lifetime rules. The runtime
-half is HCS_ASSERT_LOOP / the Wait-on-loop-thread detector in src/rpc
-(compiled out of release); this is the static half, tree-wide:
+The reactor's threading model (DESIGN.md §15) gives the event-loop thread
+sole ownership of some state: the stream connections it accepts and
+frames, and the functions that touch them. Nothing hands work to the loop
+thread, and nothing on the loop may block, because a blocked loop stops
+every stream connection at once. Three review bugs in the since-removed
+client engine were violations of this contract, fixed by hand; this lint
+keeps the contract machine-checked, the same prose→lint promotion
+DESIGN.md §13 did for the zero-copy lifetime rules:
 
-  T1. LOOP-ONLY CALLS. Functions and members tagged `hcs:loop-only` (the
-      cross-TU database is built from these tags in src/) may only be
-      called from (a) bodies that are themselves loop-only — named in the
-      database or tagged at the definition site, (b) lambdas handed to a
-      loop sink (`Post`/`ScheduleAfter`/`Submit`), which run on the loop
-      by construction, or (c) sites tagged `hcs:on-loop(<reason>)`. Any
-      other call site is a cross-thread touch of loop-owned state:
+  T1. LOOP-ONLY CALLS. Functions tagged `hcs:loop-only` (the cross-TU
+      database is built from these tags in src/) may only be called from
+      bodies that are themselves loop-only — named in the database or
+      tagged at the definition site — or from sites tagged
+      `hcs:on-loop(<reason>)`. Any other call site is a cross-thread touch
+      of loop-owned state:
 
-          StartOnLoop(x);            // T1: off-loop call
-          reactor_.Post([this, x] { StartOnLoop(x); });   // ok
+          void Reactor::SendOnConn(...) { CloseConn(conn); }   // T1
+          // hcs:loop-only
+          void Reactor::HandleConnEvent(...) { CloseConn(conn); }  // ok
 
-  T2. NO BLOCKING ON THE LOOP. `Wait()`/`WaitFor()` (RpcFuture and
-      CondVar), `sleep`/`usleep`/`nanosleep`/`sleep_for`/`sleep_until`,
-      and the blocking `SendAndReceive` are forbidden inside loop-only
-      bodies and inside loop-posted lambdas. A Wait on the loop thread is
-      a self-deadlock: the completion it waits for can only be delivered
-      by the thread that is blocked (the runtime detector aborts there
-      with birth-site diagnostics instead of hanging).
+  T2. NO BLOCKING ON THE LOOP. `Wait()`/`WaitFor()` (CondVar and the
+      like), `sleep`/`usleep`/`nanosleep`/`sleep_for`/`sleep_until`, and
+      the blocking `SendAndReceive` are forbidden inside loop-only bodies.
 
-  T3. NO COMPLETION UNDER ITERATION OR LOCK. Invoking a completion
-      (`CompleteCall`, `CompleteFromReply`, `HandleAttemptError`,
-      `.Complete(...)`) or mutating a loop-owned container while
-      iterating that same container is the PR 8 reentrancy-UAF shape:
-      completion runs arbitrary user callbacks and teardown that can
-      erase the element (or the whole container) under the iterator.
-      Likewise completion while a lint-visible `MutexLock` is still in
-      scope runs user code under an engine lock. The sanctioned shapes
-      pass untouched: snapshot-into-a-local-then-iterate, routing the
-      drain through a posted lambda, and dropping the lock scope before
-      invoking the callback. `hcs:on-loop(<reason>)` is the audited
-      escape for sites whose safety argument is out of textual reach
-      (e.g. "completes exactly one call and returns immediately").
+  T3. NO COMPLETION OR MUTATION UNDER ITERATION OR LOCK. Mutating a
+      loop-owned container while iterating that same container, or
+      invoking a completion (`.Complete(...)`, which runs callbacks and
+      teardown) while iterating it, is the use-after-free shape of those
+      review bugs: the element (or the whole container) can be erased
+      under the iterator.
+      Likewise a completion while a lint-visible `MutexLock` is still in
+      scope runs callbacks under a lock. The sanctioned shapes pass
+      untouched: snapshot-into-a-local-then-iterate, and dropping the lock
+      scope before invoking the callback. `hcs:on-loop(<reason>)` is the
+      audited escape for sites whose safety argument is out of textual
+      reach (e.g. "the loop thread is joined").
 
   T4. TAGS MUST GIVE A REASON: `hcs:on-loop()` is rejected.
 
@@ -66,12 +58,11 @@ import re
 import sys
 
 import lintlib
-from lintlib import (function_defs, iter_files, lambda_after, line_of,
+from lintlib import (function_defs, iter_files, line_of,
                      match_brace_block, strip_comments_and_strings)
 
 # The database is built from src/; the rules are enforced everywhere code
-# runs against the real reactor (a blocking call in a test's posted lambda
-# deadlocks the test exactly like production code).
+# runs against the real reactor.
 SRC_DIRS = ["src"]
 SCAN_DIRS = ["src", "tests", "bench", "examples"]
 TAG_DIRS = ["src", "tests", "bench", "examples", "tools"]
@@ -80,13 +71,8 @@ LOOP_ONLY_TAG = re.compile(r"hcs:loop-only")
 ON_LOOP_TAG = re.compile(r"hcs:on-loop\(([^)]*)\)")
 EMPTY_TAG = re.compile(r"hcs:on-loop\(\s*\)")
 
-# Lambdas handed to these run on the loop thread by construction (Submit
-# routes through the reactor's dispatch; in the client-only reactor every
-# callback lands on the loop).
-SINK_CALL = re.compile(r"\b(?:Post|ScheduleAfter|Submit)\s*\(")
-
 # Blocking operations forbidden in loop context (T2). Wait/WaitFor are
-# receiver-anchored so DrainWaiters / epoll_wait do not match.
+# receiver-anchored so epoll_wait and the like do not match.
 BLOCKING_OPS = [
     (re.compile(r"(?:\.|->)\s*Wait\s*\("), "Wait()"),
     (re.compile(r"(?:\.|->)\s*WaitFor\s*\("), "WaitFor()"),
@@ -95,10 +81,8 @@ BLOCKING_OPS = [
     (re.compile(r"(?:\.|->)\s*SendAndReceive\s*\("), "SendAndReceive()"),
 ]
 
-# Completion invocations (T3): these run user callbacks / call teardown.
-COMPLETION_CALL = re.compile(
-    r"\b(CompleteCall|CompleteFromReply|HandleAttemptError)\s*\("
-    r"|(?:\.|->)\s*(Complete)\s*\(")
+# Completion invocations (T3): these run callbacks and teardown.
+COMPLETION_CALL = re.compile(r"(?:\.|->)\s*(Complete)\s*\(")
 
 # Mutators that invalidate iterators of the receiver container (T3).
 MUTATOR = (r"(?:\.|->)\s*(erase|clear|insert|emplace|emplace_back|"
@@ -175,25 +159,6 @@ def build_loop_db(root, errors):
     return fns, members, containers
 
 
-def posted_lambda_spans(text, start, end):
-    """Spans of lambda bodies handed to a loop sink within [start, end):
-    code in these runs on the loop thread."""
-    spans = []
-    for m in SINK_CALL.finditer(text, start, end):
-        lam = lambda_after(text, m.start())
-        if lam is None:
-            continue
-        _, body_open = lam
-        if body_open >= end:
-            continue
-        spans.append((body_open, match_brace_block(text, body_open)))
-    return spans
-
-
-def in_spans(pos, spans):
-    return any(s <= pos < e for s, e in spans)
-
-
 def enclosing_scope_end(text, body_start, body_end, pos):
     """End of the innermost brace scope within the body containing pos
     (the extent of a MutexLock declared at pos)."""
@@ -239,37 +204,30 @@ def check_file(path, rel, loop_fns, loop_containers, errors):
     for _, name, bstart, bend, sig_pos in function_defs(text):
         body_is_loop = def_is_loop_only(raw_lines, text, sig_pos, name,
                                         loop_fns)
-        spans = posted_lambda_spans(text, bstart, bend)
 
-        # T1: calls into the loop-only set from off-loop contexts.
+        # T1: calls into the loop-only set from off-loop bodies.
         if loop_call is not None and not body_is_loop:
             for m in loop_call.finditer(text, bstart, bend):
-                if in_spans(m.start(), spans):
-                    continue
                 lineno = line_of(text, m.start())
                 if has_on_loop_tag(raw_lines, lineno):
                     continue
                 report(lineno,
                        f"'{m.group(1)}' is hcs:loop-only but '{name}' runs "
-                       f"off the loop thread — Post/ScheduleAfter it onto "
-                       f"the loop, or tag // hcs:on-loop(reason) [T1]")
+                       f"off the loop thread — call it from a loop-only "
+                       f"body, or tag // hcs:on-loop(reason) [T1]")
 
-        # T2: blocking operations in loop context.
-        regions = []
+        # T2: blocking operations in loop-only bodies.
         if body_is_loop:
-            regions.append((bstart, bend, f"loop-only function '{name}'"))
-        regions.extend((s, e, "a loop-posted lambda") for s, e in spans)
-        for rstart, rend, where in regions:
             for pattern, op in BLOCKING_OPS:
-                for m in pattern.finditer(text, rstart, rend):
+                for m in pattern.finditer(text, bstart, bend):
                     lineno = line_of(text, m.start())
                     if has_on_loop_tag(raw_lines, lineno):
                         continue
                     report(lineno,
-                           f"{op} blocks inside {where} — the loop thread "
-                           f"is the thread that would unblock it "
-                           f"(self-deadlock); use OnComplete or move the "
-                           f"wait off-loop [T2]")
+                           f"{op} blocks inside loop-only function "
+                           f"'{name}' — a blocked loop stalls every "
+                           f"connection it owns; move the wait off the "
+                           f"loop [T2]")
 
         # T3a: mutation / completion while iterating a loop-owned
         # container.
@@ -281,47 +239,37 @@ def check_file(path, rel, loop_fns, loop_containers, errors):
             container = container_words[-1]
             iter_open = text.find("{", fm.end() - 1)
             iter_end = match_brace_block(text, iter_open)
-            iter_spans = posted_lambda_spans(text, iter_open, iter_end)
             mutator = re.compile(r"\b" + re.escape(container) + MUTATOR)
             for m in mutator.finditer(text, iter_open, iter_end):
-                if in_spans(m.start(), iter_spans):
-                    continue
                 lineno = line_of(text, m.start())
                 if has_on_loop_tag(raw_lines, lineno):
                     continue
                 report(lineno,
                        f"'{container}.{m.group(1)}()' mutates loop-owned "
                        f"'{container}' while iterating it — snapshot into "
-                       f"a local first, or route through a posted drain "
-                       f"[T3]")
+                       f"a local first [T3]")
             for m in COMPLETION_CALL.finditer(text, iter_open, iter_end):
-                if in_spans(m.start(), iter_spans):
-                    continue
                 lineno = line_of(text, m.start())
                 if has_on_loop_tag(raw_lines, lineno):
                     continue
-                callee = m.group(1) or m.group(2)
                 report(lineno,
-                       f"completion '{callee}()' invoked while iterating "
+                       f"completion '{m.group(1)}()' invoked while iterating "
                        f"loop-owned '{container}' — completion runs "
                        f"callbacks/teardown that can erase the element "
-                       f"under the iterator (the PR 8 UAF shape); snapshot "
-                       f"victims first or post the drain [T3]")
+                       f"under the iterator (a use-after-free); snapshot "
+                       f"victims first [T3]")
 
         # T3b: completion while a lint-visible lock is in scope.
         for lm in LOCK_DECL.finditer(text, bstart, bend):
             scope_end = enclosing_scope_end(text, bstart, bend, lm.start())
             for m in COMPLETION_CALL.finditer(text, lm.end(),
                                               min(scope_end, bend)):
-                if in_spans(m.start(), spans):
-                    continue
                 lineno = line_of(text, m.start())
                 if has_on_loop_tag(raw_lines, lineno):
                     continue
-                callee = m.group(1) or m.group(2)
                 report(lineno,
-                       f"completion '{callee}()' invoked while a MutexLock "
-                       f"is in scope — user callbacks run under an engine "
+                       f"completion '{m.group(1)}()' invoked while a "
+                       f"MutexLock is in scope — callbacks run under the "
                        f"lock; move the invocation past the lock scope "
                        f"[T3]")
 
@@ -373,16 +321,16 @@ SELF_TEST_HEADER = """
 #include <vector>
 class Mutex {};
 class MutexLock { public: explicit MutexLock(Mutex& m); };
-class RpcFuture { public: int Wait(); int WaitFor(long ms); };
+class CondVar { public: void Wait(Mutex& m); bool WaitFor(Mutex& m, long ms); };
 class Transport { public: int SendAndReceive(int req); };
-struct Call {};
+struct Call { void Complete(int result); };
 struct Conn {};
 class Reactor {
  public:
-  bool Post(void (*fn)());
-  bool Submit(int endpoint, void (*fn)());
+  void Submit(int endpoint, void (*fn)());
+  void SendOnConn(Conn* conn);
   // hcs:loop-only
-  unsigned long ScheduleAfter(long delay_ms, void (*fn)());
+  void CloseConn(Conn* conn);
 };
 class Engine {
  public:
@@ -392,7 +340,7 @@ class Engine {
   // hcs:loop-only
   void StartOnLoop(int x);
   // hcs:loop-only
-  void CompleteCall(Call* call, int result);
+  void FinishCall(Call* call, int result);
   // hcs:loop-only
   void DrainWaiters(int port);
   // hcs:loop-only
@@ -404,6 +352,7 @@ class Engine {
   Reactor reactor_;
   Transport* transport_;
   Mutex mu_;
+  CondVar cv_;
 };
 """
 
@@ -412,29 +361,25 @@ SELF_TEST_CASES = [
     #
     # --- T1: loop-only calls from off-loop contexts -------------------------
     #
-    # PR 8 review bug 3 reduced: the xid-registration race. Loop-owned call
+    # Review bug 3 reduced: the xid-registration race. Loop-owned call
     # state touched straight from the caller's thread (StartCall runs on
     # whatever thread the user owns) — two racing registrations can
-    # overwrite the incumbent; the fix routed registration through the loop.
-    ("pr8-review-bug3-offloop-registration",
+    # overwrite the incumbent.
+    ("review-bug3-offloop-registration",
      "void Engine::StartCall(int x) {\n  StartOnLoop(x);\n}\n",
      "is hcs:loop-only but 'StartCall' runs off the loop thread"),
-    ("t1-posted-lambda-ok",
-     "void Engine::StartCall(int x) {\n"
-     "  reactor_.Post([]() { });\n"
-     "}\n"
-     "void Engine::Pump() {\n"
-     "  reactor_.Post([this] { StartOnLoop(1); });\n"
-     "}\n",
-     None),
-    ("t1-submit-lambda-ok",
+    # A task handed to the workers does not run on the loop.
+    ("t1-submitted-lambda-still-off-loop",
      "void Engine::Pump() {\n"
      "  reactor_.Submit(3, [this] { StartOnLoop(1); });\n"
      "}\n",
-     None),
+     "is hcs:loop-only but 'Pump' runs off the loop thread"),
+    ("t1-reactor-member-off-loop",
+     "void Reactor::SendOnConn(Conn* conn) {\n  CloseConn(conn);\n}\n",
+     "'CloseConn' is hcs:loop-only"),
     ("t1-loop-to-loop-ok",
      "void Engine::DrainWaiters(int port) {\n"
-     "  CompleteCall(FindCall(port), 0);\n"
+     "  FinishCall(FindCall(port), 0);\n"
      "}\n",
      None),
     ("t1-def-site-tag-ok",
@@ -443,14 +388,10 @@ SELF_TEST_CASES = [
      None),
     ("t1-on-loop-tagged-site-ok",
      "void Engine::StartCall(int x) {\n"
-     "  // hcs:on-loop(engine not started yet; single-threaded setup)\n"
+     "  // hcs:on-loop(loop not started yet; single-threaded setup)\n"
      "  StartOnLoop(x);\n}\n",
      None),
-    ("t1-schedule-after-off-loop",
-     "void Engine::StartCall(int x) {\n"
-     "  reactor_.ScheduleAfter(5, []() { });\n}\n",
-     "'ScheduleAfter' is hcs:loop-only"),
-    ("t1-unposted-lambda-still-off-loop",
+    ("t1-unsubmitted-lambda-still-off-loop",
      "void Engine::StartCall(int x) {\n"
      "  auto cb = [this] { StartOnLoop(1); };\n  (void)cb;\n}\n",
      "is hcs:loop-only but 'StartCall' runs off the loop thread"),
@@ -458,64 +399,51 @@ SELF_TEST_CASES = [
     # --- T2: blocking in loop context ---------------------------------------
     #
     ("t2-wait-in-loop-body",
-     "void Engine::DrainWaiters(int p) {\n"
-     "  RpcFuture f;\n  f.Wait();\n}\n",
+     "void Engine::DrainWaiters(int p) {\n  cv_.Wait(mu_);\n}\n",
      "Wait() blocks inside loop-only function"),
-    # PR 8 review bug class made deterministic: Wait posted onto the loop
-    # self-deadlocks — the loop is the thread that would complete it.
-    ("pr8-wait-on-loop-self-deadlock",
-     "void Engine::StartCall(int x) {\n"
-     "  RpcFuture f;\n"
-     "  reactor_.Post([&]() { f.Wait(); });\n}\n",
-     "Wait() blocks inside a loop-posted lambda"),
     ("t2-waitfor-in-loop-body",
-     "void Engine::TryAssignStream(Call* call) {\n"
-     "  RpcFuture f;\n  f.WaitFor(100);\n}\n",
+     "void Engine::TryAssignStream(Call* call) {\n  cv_.WaitFor(mu_, 100);\n}\n",
      "WaitFor() blocks inside loop-only function"),
     ("t2-usleep-in-loop-body",
      "void Engine::DrainWaiters(int p) {\n  usleep(10);\n}\n",
      "sleep() blocks inside loop-only function"),
-    ("t2-sleep-for-in-posted-lambda",
-     "void Engine::Pump() {\n"
-     "  reactor_.Post([]() { std::this_thread::sleep_for(x); });\n}\n",
-     "blocks inside a loop-posted lambda"),
+    ("t2-sleep-for-in-loop-body",
+     "void Engine::TryAssignStream(Call* call) {\n"
+     "  std::this_thread::sleep_for(x);\n}\n",
+     "std::this_thread::sleep_* blocks inside loop-only function"),
     ("t2-send-and-receive-in-loop-body",
      "void Engine::StartOnLoop(int x) {\n"
      "  transport_->SendAndReceive(x);\n}\n",
      "SendAndReceive() blocks inside loop-only function"),
     ("t2-wait-off-loop-ok",
-     "void Engine::StartCall(int x) {\n"
-     "  RpcFuture f;\n  f.Wait();\n}\n",
+     "void Engine::StartCall(int x) {\n  cv_.Wait(mu_);\n}\n",
      None),
     ("t2-tagged-wait-ok",
-     "void Engine::Pump() {\n"
-     "  RpcFuture f;\n"
-     "  // hcs:on-loop(deliberate: death test proves the detector aborts)\n"
-     "  reactor_.Post([&]() { f.Wait(); });\n}\n",
+     "void Engine::DrainWaiters(int p) {\n"
+     "  // hcs:on-loop(deliberate: the loop waits out its own shutdown)\n"
+     "  cv_.Wait(mu_);\n}\n",
      None),
     #
     # --- T3: completion / mutation under iteration or lock ------------------
     #
-    # PR 8 review bug 1 reduced: inline teardown under the container's own
-    # iteration — FailStreamConn destroying the StreamConn whose reader is
-    # still on the stack, via an inline (unposted) waiter drain.
-    ("pr8-review-bug1-inline-drain-teardown",
+    # Review bug 1 reduced: inline teardown under the container's own
+    # iteration — a connection torn down while its reader is still on the
+    # stack.
+    ("review-bug1-inline-drain-teardown",
      "void Engine::TryAssignStream(Call* call) {\n"
      "  for (Conn* c : conns_) {\n"
      "    conns_.erase(conns_.begin());\n"
-     "    CompleteCall(call, -1);\n"
+     "    call->Complete(-1);\n"
      "  }\n}\n",
      "mutates loop-owned 'conns_' while iterating it"),
-    # PR 8 review bug 2 reduced: TryAssignStream can complete (and free)
-    # the call synchronously; completing under the waiters_ iteration then
-    # touches the freed element — the fix re-looks the call up by id after
-    # any call that can complete it, and drains via snapshot.
-    ("pr8-review-bug2-complete-under-iteration",
+    # Review bug 2 reduced: completing (and freeing) an element under
+    # the waiters_ iteration; the fix drained via a snapshot.
+    ("review-bug2-complete-under-iteration",
      "void Engine::DrainWaiters(int port) {\n"
      "  for (long id : waiters_) {\n"
      "    Call* call = FindCall(id);\n"
      "    TryAssignStream(call);\n"
-     "    CompleteCall(call, 1);\n"
+     "    call->Complete(1);\n"
      "  }\n}\n",
      "invoked while iterating loop-owned 'waiters_'"),
     ("t3-snapshot-then-complete-ok",
@@ -524,42 +452,30 @@ SELF_TEST_CASES = [
      "  for (long id : waiters_) {\n    victims.push_back(id);\n  }\n"
      "  waiters_.clear();\n"
      "  for (long id : victims) {\n"
-     "    CompleteCall(FindCall(id), 0);\n  }\n}\n",
-     None),
-    ("t3-posted-drain-ok",
-     "void Engine::TryAssignStream(Call* call) {\n"
-     "  for (Conn* c : conns_) {\n"
-     "    reactor_.Post([]() { });\n"
-     "  }\n}\n",
-     None),
-    ("t3-completion-in-posted-lambda-ok",
-     "void Engine::TryAssignStream(Call* call) {\n"
-     "  for (Conn* c : conns_) {\n"
-     "    reactor_.Post([this] { CompleteCall(FindCall(1), 0); });\n"
-     "  }\n}\n",
+     "    FindCall(id)->Complete(0);\n  }\n}\n",
      None),
     ("t3-tagged-iteration-ok",
      "void Engine::DrainWaiters(int port) {\n"
      "  for (long id : waiters_) {\n"
      "    // hcs:on-loop(completes exactly one call, then returns)\n"
-     "    CompleteCall(FindCall(id), 0);\n"
+     "    FindCall(id)->Complete(0);\n"
      "    return;\n  }\n}\n",
      None),
     ("t3-lock-held-completion",
      "void Engine::DrainWaiters(int p) {\n"
      "  MutexLock lock(mu_);\n"
-     "  CompleteCall(FindCall(1), 0);\n}\n",
+     "  FindCall(1)->Complete(0);\n}\n",
      "invoked while a MutexLock is in scope"),
     ("t3-lock-scope-dropped-ok",
      "void Engine::DrainWaiters(int p) {\n"
      "  {\n    MutexLock lock(mu_);\n  }\n"
-     "  CompleteCall(FindCall(1), 0);\n}\n",
+     "  FindCall(1)->Complete(0);\n}\n",
      None),
     ("t3-local-container-ok",
      "void Engine::DrainWaiters(int p) {\n"
      "  std::vector<long> batch;\n"
      "  for (long id : batch) {\n"
-     "    batch.push_back(id);\n    CompleteCall(FindCall(id), 0);\n  }\n}\n",
+     "    batch.push_back(id);\n    FindCall(id)->Complete(0);\n  }\n}\n",
      None),
     #
     # --- T4 + database hygiene ----------------------------------------------
